@@ -15,6 +15,7 @@ use serde::Serialize;
 use soup_graph::{CsrGraph, SbmConfig};
 use soup_tensor::ops::sparse::{spmm_rowpar_reference, SparseMat};
 use soup_tensor::tape::Tape;
+use soup_tensor::view::matmul_naive_views;
 use soup_tensor::{pool, SplitMix64, Tensor};
 use std::time::Instant;
 
@@ -40,7 +41,7 @@ fn bench_matmul_blocked_vs_naive(c: &mut Criterion) {
         bench.iter(|| std::hint::black_box(a.matmul(&b)));
     });
     group.bench_function("naive", |bench| {
-        bench.iter(|| std::hint::black_box(a.matmul_naive(&b)));
+        bench.iter(|| std::hint::black_box(matmul_naive_views(&a.view(), &b.view())));
     });
     group.finish();
 }
@@ -230,7 +231,7 @@ fn comparison_report(quick: bool) -> KernelReport {
     let a = Tensor::randn(m, k, 1.0, &mut rng);
     let b = Tensor::randn(k, n, 1.0, &mut rng);
     let naive_s = time_best(reps, || {
-        std::hint::black_box(a.matmul_naive(&b));
+        std::hint::black_box(matmul_naive_views(&a.view(), &b.view()));
     });
     let blocked_s = time_best(reps, || {
         std::hint::black_box(a.matmul(&b));

@@ -262,26 +262,6 @@ impl LearnedSouping {
         Self { hyper }
     }
 
-    /// Positional shim for the pre-[`SoupCtx`] entry point; equivalent to
-    /// `SoupStrategy::try_soup` with `with_persist_opt(persist)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SoupStrategy::try_soup with a SoupCtx (with_persist for durability)"
-    )]
-    pub fn try_soup(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        persist: Option<&Phase2Persist>,
-    ) -> crate::Result<Option<SoupOutcome>> {
-        SoupStrategy::try_soup(
-            self,
-            &SoupCtx::new(ingredients, dataset, cfg, seed).with_persist_opt(persist),
-        )
-    }
-
     /// The Alg. 3 epoch loop (full validation graph every epoch).
     fn mix_loop(
         &self,

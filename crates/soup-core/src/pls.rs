@@ -209,72 +209,6 @@ impl SoupStrategy for PartitionLearnedSouping {
 }
 
 impl PartitionLearnedSouping {
-    /// Positional shim for the pre-[`SoupCtx`] entry point; equivalent to
-    /// `SoupStrategy::try_soup` with `with_persist_opt(persist)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SoupStrategy::try_soup with a SoupCtx (with_persist for durability)"
-    )]
-    pub fn try_soup(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        persist: Option<&Phase2Persist>,
-    ) -> crate::Result<Option<SoupOutcome>> {
-        SoupStrategy::try_soup(
-            self,
-            &SoupCtx::new(ingredients, dataset, cfg, seed).with_persist_opt(persist),
-        )
-    }
-
-    /// Positional shim for souping against a precomputed partitioning;
-    /// equivalent to `SoupStrategy::try_soup` with `with_partitioning`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SoupStrategy::try_soup with SoupCtx::with_partitioning"
-    )]
-    pub fn soup_prepartitioned(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        partitioning: &Partitioning,
-    ) -> SoupOutcome {
-        SoupStrategy::try_soup(
-            self,
-            &SoupCtx::new(ingredients, dataset, cfg, seed).with_partitioning(partitioning),
-        )
-        .expect("PLS without persistence cannot hit storage errors")
-        .expect("PLS without persistence never stops early")
-    }
-
-    /// Positional shim for the fallible prepartitioned entry point;
-    /// equivalent to `SoupStrategy::try_soup` with `with_partitioning` +
-    /// `with_persist_opt`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SoupStrategy::try_soup with SoupCtx::with_partitioning"
-    )]
-    pub fn try_soup_prepartitioned(
-        &self,
-        ingredients: &[Ingredient],
-        dataset: &Dataset,
-        cfg: &ModelConfig,
-        seed: u64,
-        partitioning: &Partitioning,
-        persist: Option<&Phase2Persist>,
-    ) -> crate::Result<Option<SoupOutcome>> {
-        SoupStrategy::try_soup(
-            self,
-            &SoupCtx::new(ingredients, dataset, cfg, seed)
-                .with_partitioning(partitioning)
-                .with_persist_opt(persist),
-        )
-    }
-
     /// The Alg. 4 epoch loop over a fixed partition pool.
     fn mix_loop(
         &self,

@@ -3,12 +3,12 @@
 //! Sharded Phase-1 gives every worker process exclusive ownership of one
 //! contiguous node range of the shard-ordered mmap dataset. Training a
 //! GNN on a shard still needs the *features* of the 1-hop out-of-shard
-//! neighbors ("halo" nodes); this module moves them with the same
-//! length-prefixed frame discipline as `soup-serve::proto` (u32-LE length,
-//! one opcode byte, fixed little-endian payload layout, total decoding):
+//! neighbors ("halo" nodes); this module moves them, and the worker
+//! control channel, as [`soup_error::wire`] frames (`len:u32-LE op:u8
+//! payload`, the codec `soup-serve` speaks too) with fixed little-endian
+//! payloads and total decoding. Every frame here is held to [`FRAME_CAP`]:
 //!
 //! ```text
-//! frame     := len:u32-LE  op:u8  payload[len-1]
 //! FETCH     := op=1  epoch:u8  count:u32  ids:u32×count   (global node ids)
 //! ROWS      := op=2  epoch:u8  count:u32  dim:u32  rows:f32×count×dim
 //! BYE       := op=3
@@ -41,21 +41,29 @@
 //! The determinism test in `tests/shard_pipeline.rs` holds the two paths
 //! bit-identical.
 
-use std::io::{Read, Write};
+use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 
-use soup_error::SoupError;
+use soup_error::{wire, SoupError};
 use soup_graph::mmap::MmapDataset;
 
 type Result<T> = std::result::Result<T, SoupError>;
 
-/// Frames above this size are rejected as corrupt (largest legal frame is
-/// a ROWS response for one id chunk: `FETCH_CHUNK × dim × 4` plus header).
-pub const MAX_FRAME: usize = 16 << 20;
-
-/// Ids per FETCH frame; bounds peak frame size at any feature_dim ≤ 1024.
+/// Ids per FETCH frame; with [`FRAME_CAP`] this bounds the ROWS reply at
+/// any feature_dim ≤ [`MAX_FEATURE_DIM`].
 pub const FETCH_CHUNK: usize = 4096;
+
+/// Widest feature row a full [`FETCH_CHUNK`] ROWS reply is sized for.
+pub const MAX_FEATURE_DIM: usize = 1024;
+
+/// ROWS payload header: `epoch:u8 count:u32 dim:u32`.
+const ROWS_HEADER: usize = 9;
+
+/// Cap on the length field of every halo and control frame. The largest
+/// legal frame is a ROWS reply for one full [`FETCH_CHUNK`] at
+/// [`MAX_FEATURE_DIM`], opcode and ROWS header included.
+pub const FRAME_CAP: usize = 1 + ROWS_HEADER + FETCH_CHUNK * MAX_FEATURE_DIM * 4;
 
 pub const OP_FETCH: u8 = 1;
 pub const OP_ROWS: u8 = 2;
@@ -68,65 +76,96 @@ pub const OP_RESULT: u8 = 14;
 pub const OP_ACK: u8 = 15;
 pub const OP_HEARTBEAT: u8 = 16;
 
-/// Write one `op + payload` frame.
-pub fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> Result<()> {
-    let len = payload.len() + 1;
-    if len > MAX_FRAME {
-        return Err(SoupError::usage(format!(
-            "halo frame of {len} bytes exceeds MAX_FRAME {MAX_FRAME}"
-        )));
-    }
-    let mut head = [0u8; 5];
-    head[0..4].copy_from_slice(&(len as u32).to_le_bytes());
-    head[4] = op;
-    w.write_all(&head).map_err(SoupError::from)?;
-    w.write_all(payload).map_err(SoupError::from)?;
-    w.flush().map_err(SoupError::from)
+fn le_u32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
 }
 
-/// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
-    let mut lenb = [0u8; 4];
-    match r.read_exact(&mut lenb) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(SoupError::from(e)),
+/// Encode a FETCH for `ids`, tagged with the low byte of the fetcher's
+/// session epoch.
+fn encode_fetch(epoch: u32, ids: &[u32]) -> Result<Vec<u8>> {
+    wire::encode_with(OP_FETCH, FRAME_CAP, 5 + 4 * ids.len(), |buf| {
+        buf.push(epoch as u8);
+        buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        for &id in ids {
+            buf.extend_from_slice(&id.to_le_bytes());
+        }
+    })
+}
+
+/// Split a FETCH payload into its epoch byte and the requested ids.
+fn decode_fetch(payload: &[u8]) -> Result<(u8, &[u8])> {
+    if payload.len() < 5 {
+        return Err(SoupError::corrupt("halo FETCH shorter than its header"));
     }
-    let len = u32::from_le_bytes(lenb) as usize;
-    if len == 0 || len > MAX_FRAME {
+    let count = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
+    if payload.len() != 5 + count * 4 {
         return Err(SoupError::corrupt(format!(
-            "halo frame length {len} outside 1..={MAX_FRAME}"
+            "halo FETCH declares {count} ids but carries {} bytes",
+            payload.len() - 5
         )));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf).map_err(SoupError::from)?;
-    let op = buf[0];
-    buf.remove(0);
-    Ok(Some((op, buf)))
+    Ok((payload[0], &payload[5..]))
 }
 
-/// A frame that must be present and carry the expected opcode.
-pub fn expect_frame(r: &mut impl Read, want: u8) -> Result<Vec<u8>> {
-    match read_frame(r)? {
-        Some((op, payload)) if op == want => Ok(payload),
-        Some((op, _)) => Err(SoupError::corrupt(format!(
-            "halo protocol: expected opcode {want}, got {op}"
-        ))),
-        None => Err(SoupError::corrupt(format!(
-            "halo protocol: peer closed while waiting for opcode {want}"
-        ))),
+/// Encode a ROWS reply echoing `epoch`, one `dim`-wide row per request id.
+fn encode_rows<'a>(
+    epoch: u8,
+    dim: usize,
+    rows: impl ExactSizeIterator<Item = &'a [f32]>,
+) -> Result<Vec<u8>> {
+    let count = rows.len();
+    wire::encode_with(OP_ROWS, FRAME_CAP, ROWS_HEADER + count * dim * 4, |buf| {
+        buf.push(epoch);
+        buf.extend_from_slice(&(count as u32).to_le_bytes());
+        buf.extend_from_slice(&(dim as u32).to_le_bytes());
+        for row in rows {
+            for &x in row {
+                buf.extend_from_slice(&x.to_le_bytes());
+            }
+        }
+    })
+}
+
+/// Check a ROWS payload against the FETCH it answers and hand each row to
+/// `store_row`. Nothing is stored unless the whole reply validates.
+fn decode_rows(
+    payload: &[u8],
+    chunk: &[u32],
+    dim: usize,
+    epoch: u32,
+    store_row: &mut impl FnMut(usize, &[f32]),
+) -> Result<()> {
+    if payload.len() < ROWS_HEADER {
+        return Err(SoupError::corrupt("halo ROWS shorter than its header"));
     }
-}
-
-/// `u32` frame payload helper (READY/FETCHED carry the shard ordinal).
-pub fn u32_payload(payload: &[u8]) -> Result<u32> {
-    if payload.len() != 4 {
+    if payload[0] != epoch as u8 {
         return Err(SoupError::corrupt(format!(
-            "halo protocol: expected 4-byte payload, got {}",
-            payload.len()
+            "halo ROWS from stale session epoch {} (want {})",
+            payload[0], epoch as u8
         )));
     }
-    Ok(u32::from_le_bytes(payload.try_into().unwrap()))
+    let count = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
+    let got_dim = u32::from_le_bytes(payload[5..9].try_into().unwrap()) as usize;
+    if count != chunk.len() || got_dim != dim {
+        return Err(SoupError::corrupt(format!(
+            "halo ROWS shape {count}×{got_dim}, expected {}×{dim}",
+            chunk.len()
+        )));
+    }
+    if payload.len() != ROWS_HEADER + count * dim * 4 {
+        return Err(SoupError::corrupt("halo ROWS payload size mismatch"));
+    }
+    let mut row = vec![0f32; dim];
+    for (i, &id) in chunk.iter().enumerate() {
+        let base = ROWS_HEADER + i * dim * 4;
+        for (x, bits) in row.iter_mut().zip(le_u32s(&payload[base..base + dim * 4])) {
+            *x = f32::from_bits(bits);
+        }
+        store_row(id as usize, &row);
+    }
+    Ok(())
 }
 
 /// Encode the `shard:u32 epoch:u32` prefix carried by every
@@ -150,54 +189,6 @@ pub fn parse_shard_epoch(payload: &[u8]) -> Result<(u32, u32, &[u8])> {
     let shard = u32::from_le_bytes(payload[0..4].try_into().unwrap());
     let epoch = u32::from_le_bytes(payload[4..8].try_into().unwrap());
     Ok((shard, epoch, &payload[8..]))
-}
-
-/// Incremental frame accumulator for nonblocking readers: feed raw bytes
-/// as they arrive off the wire, pop complete frames as they materialise.
-/// The supervisor drives all K control connections off one poll loop with
-/// one of these per connection, so a worker that writes half a frame and
-/// stalls never blocks the loop.
-#[derive(Default)]
-pub struct FrameBuf {
-    buf: Vec<u8>,
-}
-
-impl FrameBuf {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append bytes read off the wire.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet assembled into a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Pop the next complete frame, `Ok(None)` if more bytes are needed.
-    /// A length outside `1..=MAX_FRAME` poisons the stream permanently —
-    /// there is no way to resynchronise a corrupt length prefix.
-    pub fn pop(&mut self) -> Result<Option<(u8, Vec<u8>)>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize;
-        if len == 0 || len > MAX_FRAME {
-            return Err(SoupError::corrupt(format!(
-                "halo frame length {len} outside 1..={MAX_FRAME}"
-            )));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let op = self.buf[4];
-        let payload = self.buf[5..4 + len].to_vec();
-        self.buf.drain(0..4 + len);
-        Ok(Some((op, payload)))
-    }
 }
 
 /// Socket path of shard `i`'s halo server inside the run directory.
@@ -239,39 +230,20 @@ fn serve_halo_conn(
     dataset: &MmapDataset,
     owned: std::ops::Range<usize>,
 ) -> Result<()> {
-    let mut reader = std::io::BufReader::new(stream.try_clone().map_err(SoupError::from)?);
-    let mut writer = std::io::BufWriter::new(stream);
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
     let dim = dataset.feature_dim();
-    while let Some((op, payload)) = read_frame(&mut reader)? {
+    while let Some((op, payload)) = wire::read_frame(&mut reader, FRAME_CAP)? {
         match op {
             OP_FETCH => {
-                if payload.len() < 5 {
-                    return Err(SoupError::corrupt("halo FETCH shorter than its header"));
-                }
-                let epoch = payload[0];
-                let count = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
-                if payload.len() != 5 + count * 4 {
-                    return Err(SoupError::corrupt(format!(
-                        "halo FETCH declares {count} ids but carries {} bytes",
-                        payload.len() - 5
+                let (epoch, ids) = decode_fetch(&payload)?;
+                if let Some(id) = le_u32s(ids).find(|&id| !owned.contains(&(id as usize))) {
+                    return Err(SoupError::usage(format!(
+                        "halo FETCH for node {id} outside owned range {owned:?}"
                     )));
                 }
-                let mut resp = Vec::with_capacity(9 + count * dim * 4);
-                resp.push(epoch); // echo the fetcher's session epoch
-                resp.extend_from_slice(&(count as u32).to_le_bytes());
-                resp.extend_from_slice(&(dim as u32).to_le_bytes());
-                for c in payload[5..].chunks_exact(4) {
-                    let id = u32::from_le_bytes(c.try_into().unwrap()) as usize;
-                    if !owned.contains(&id) {
-                        return Err(SoupError::usage(format!(
-                            "halo FETCH for node {id} outside owned range {owned:?}"
-                        )));
-                    }
-                    for &x in dataset.feature_row(id) {
-                        resp.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                write_frame(&mut writer, OP_ROWS, &resp)?;
+                let rows = le_u32s(ids).map(|id| dataset.feature_row(id as usize));
+                wire::send(&mut writer, &encode_rows(epoch, dim, rows)?)?;
             }
             OP_BYE => return Ok(()),
             other => {
@@ -313,21 +285,17 @@ impl Default for FetchOpts {
 }
 
 struct FetchConn {
-    reader: std::io::BufReader<UnixStream>,
-    writer: std::io::BufWriter<UnixStream>,
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
 }
 
 fn connect_fetch(sock: &Path, opts: &FetchOpts) -> Result<FetchConn> {
     let stream = UnixStream::connect(sock).map_err(|e| SoupError::io_at(sock, e))?;
-    stream
-        .set_read_timeout(Some(opts.io_timeout))
-        .map_err(SoupError::from)?;
-    stream
-        .set_write_timeout(Some(opts.io_timeout))
-        .map_err(SoupError::from)?;
+    stream.set_read_timeout(Some(opts.io_timeout))?;
+    stream.set_write_timeout(Some(opts.io_timeout))?;
     Ok(FetchConn {
-        reader: std::io::BufReader::new(stream.try_clone().map_err(SoupError::from)?),
-        writer: std::io::BufWriter::new(stream),
+        reader: BufReader::new(stream.try_clone()?),
+        writer: stream,
     })
 }
 
@@ -340,45 +308,9 @@ fn fetch_chunk(
     epoch: u32,
     store_row: &mut impl FnMut(usize, &[f32]),
 ) -> Result<()> {
-    let mut req = Vec::with_capacity(5 + chunk.len() * 4);
-    req.push((epoch & 0xff) as u8);
-    req.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-    for &id in chunk {
-        req.extend_from_slice(&id.to_le_bytes());
-    }
-    write_frame(&mut conn.writer, OP_FETCH, &req)?;
-    let payload = expect_frame(&mut conn.reader, OP_ROWS)?;
-    if payload.len() < 9 {
-        return Err(SoupError::corrupt("halo ROWS shorter than its header"));
-    }
-    if payload[0] != (epoch & 0xff) as u8 {
-        return Err(SoupError::corrupt(format!(
-            "halo ROWS from stale session epoch {} (want {})",
-            payload[0],
-            epoch & 0xff
-        )));
-    }
-    let count = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
-    let got_dim = u32::from_le_bytes(payload[5..9].try_into().unwrap()) as usize;
-    if count != chunk.len() || got_dim != dim {
-        return Err(SoupError::corrupt(format!(
-            "halo ROWS shape {count}×{got_dim}, expected {}×{dim}",
-            chunk.len()
-        )));
-    }
-    if payload.len() != 9 + count * dim * 4 {
-        return Err(SoupError::corrupt("halo ROWS payload size mismatch"));
-    }
-    let mut row = vec![0f32; dim];
-    for (i, &id) in chunk.iter().enumerate() {
-        let base = 9 + i * dim * 4;
-        for (j, x) in row.iter_mut().enumerate() {
-            let off = base + j * 4;
-            *x = f32::from_le_bytes(payload[off..off + 4].try_into().unwrap());
-        }
-        store_row(id as usize, &row);
-    }
-    Ok(())
+    wire::send(&mut conn.writer, &encode_fetch(epoch, chunk)?)?;
+    let payload = wire::expect_frame(&mut conn.reader, OP_ROWS, FRAME_CAP)?;
+    decode_rows(&payload, chunk, dim, epoch, store_row)
 }
 
 /// Fetch feature rows for `ids` (global, sorted or not) over the socket of
@@ -437,7 +369,7 @@ pub fn fetch_rows_with(
     }
     if let Some(mut c) = conn {
         // Best-effort goodbye; the data already landed.
-        let _ = write_frame(&mut c.writer, OP_BYE, &[]);
+        let _ = wire::write_frame(&mut c.writer, OP_BYE, &[], FRAME_CAP);
     }
     Ok(())
 }
@@ -471,27 +403,77 @@ mod tests {
         d
     }
 
-    #[test]
-    fn frames_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, OP_READY, &7u32.to_le_bytes()).unwrap();
-        write_frame(&mut buf, OP_GO, &[]).unwrap();
-        let mut r = &buf[..];
-        let (op, p) = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!((op, u32_payload(&p).unwrap()), (OP_READY, 7));
-        let (op, p) = read_frame(&mut r).unwrap().unwrap();
-        assert_eq!((op, p.len()), (OP_GO, 0));
-        assert!(read_frame(&mut r).unwrap().is_none());
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]
-    fn oversized_and_zero_frames_are_corrupt() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(read_frame(&mut &buf[..]).unwrap_err().kind(), "corrupt");
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        assert_eq!(read_frame(&mut &buf[..]).unwrap_err().kind(), "corrupt");
+    fn wire_bytes_are_pinned() {
+        // Captured from the hand-rolled halo encoders before they moved
+        // onto the shared codec.
+        assert_eq!(
+            hex(&encode_fetch(257, &[5, 258]).unwrap()),
+            "0e0000000101020000000500000002010000"
+        );
+        let rows: [&[f32]; 2] = [&[1.0, -2.5, 0.0], &[3.25, -0.0, 1e-3]];
+        assert_eq!(
+            hex(&encode_rows(1, 3, rows.into_iter()).unwrap()),
+            "22000000020102000000030000000000803f000020c00000000000005040000000806f12833a"
+        );
+        let control = |op, payload: &[u8]| hex(&wire::encode(op, payload, FRAME_CAP).unwrap());
+        assert_eq!(control(OP_BYE, &[]), "0100000003");
+        assert_eq!(control(OP_GO, &[]), "010000000b");
+        assert_eq!(
+            control(OP_READY, &shard_epoch_payload(3, 2)),
+            "090000000a0300000002000000"
+        );
+        assert_eq!(
+            control(OP_HEARTBEAT, &shard_epoch_payload(3, 2)),
+            "09000000100300000002000000"
+        );
+    }
+
+    #[test]
+    fn frame_cap_boundaries() {
+        let at_cap = wire::encode(OP_ROWS, &vec![0; FRAME_CAP - 1], FRAME_CAP).unwrap();
+        let (op, payload) = wire::read_frame(&mut &at_cap[..], FRAME_CAP)
+            .unwrap()
+            .unwrap();
+        assert_eq!((op, payload.len()), (OP_ROWS, FRAME_CAP - 1));
+        let over = wire::encode(OP_ROWS, &vec![0; FRAME_CAP], FRAME_CAP);
+        assert_eq!(over.unwrap_err().kind(), "usage");
+        let over = (FRAME_CAP as u32 + 1).to_le_bytes();
+        let err = wire::read_frame(&mut &over[..], FRAME_CAP).unwrap_err();
+        assert_eq!(err.kind(), "corrupt");
+        let empty = 0u32.to_le_bytes();
+        let err = wire::read_frame(&mut &empty[..], FRAME_CAP).unwrap_err();
+        assert_eq!(err.kind(), "parse");
+    }
+
+    #[test]
+    fn full_chunk_rows_at_max_dim_round_trip_under_the_cap() {
+        let dim = MAX_FEATURE_DIM;
+        let ids: Vec<u32> = (0..FETCH_CHUNK as u32).collect();
+        let rows: Vec<f32> = (0..FETCH_CHUNK * dim).map(|i| i as f32 * 0.5).collect();
+        let (tx, rx) = UnixStream::pair().unwrap();
+        rx.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let sent = rows.clone();
+        // The reply outgrows the socket buffer, so it is written from a
+        // second thread while this one reads.
+        let writer = std::thread::spawn(move || {
+            let frame = encode_rows(9, dim, sent.chunks_exact(dim))?;
+            wire::send(&mut &tx, &frame)
+        });
+        let payload = wire::expect_frame(&mut BufReader::new(rx), OP_ROWS, FRAME_CAP).unwrap();
+        writer.join().unwrap().unwrap();
+        let mut seen = 0;
+        decode_rows(&payload, &ids, dim, 9, &mut |id, row| {
+            assert_eq!(row, &rows[id * dim..(id + 1) * dim]);
+            seen += 1;
+        })
+        .unwrap();
+        assert_eq!(seen, FETCH_CHUNK);
     }
 
     #[test]
@@ -518,36 +500,6 @@ mod tests {
             // Transport is bit-exact with the shared-memory path.
             assert_eq!(got[&(id as usize)], m.feature_row(id as usize));
         }
-    }
-
-    #[test]
-    fn frame_buf_reassembles_split_frames() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, OP_READY, &shard_epoch_payload(3, 1)).unwrap();
-        write_frame(&mut wire, OP_HEARTBEAT, &shard_epoch_payload(3, 1)).unwrap();
-        // Feed one byte at a time — worst-case fragmentation.
-        let mut fb = FrameBuf::new();
-        let mut got = Vec::new();
-        for &b in &wire {
-            fb.extend(&[b]);
-            while let Some((op, p)) = fb.pop().unwrap() {
-                got.push((op, p));
-            }
-        }
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, OP_READY);
-        assert_eq!(got[1].0, OP_HEARTBEAT);
-        let (shard, epoch, rest) = parse_shard_epoch(&got[0].1).unwrap();
-        assert_eq!((shard, epoch), (3, 1));
-        assert!(rest.is_empty());
-        assert_eq!(fb.pending(), 0);
-    }
-
-    #[test]
-    fn frame_buf_rejects_corrupt_length() {
-        let mut fb = FrameBuf::new();
-        fb.extend(&0u32.to_le_bytes());
-        assert_eq!(fb.pop().unwrap_err().kind(), "corrupt");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! journal in `out_dir/shard-<i>/` — so `--resume` works per shard, and a
 //! killed run restarts only the unfinished shards' missing ingredients.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,14 +30,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use soup_error::SoupError;
+use soup_error::{wire, SoupError};
 use soup_graph::mmap::{write_mmap_dataset, MmapDataset, MmapMeta};
 use soup_partition::quality::{edge_cut_on, halo_counts};
 use soup_partition::streaming::{ldg_partition_restream, DEFAULT_PASSES, DEFAULT_SLACK};
 
 use crate::halo::{
-    control_socket_path, expect_frame, shard_epoch_payload, write_frame, OP_ACK, OP_FETCHED, OP_GO,
-    OP_HEARTBEAT, OP_PROCEED, OP_READY, OP_RESULT,
+    control_socket_path, shard_epoch_payload, FRAME_CAP, OP_ACK, OP_FETCHED, OP_GO, OP_HEARTBEAT,
+    OP_PROCEED, OP_READY, OP_RESULT,
 };
 
 type Result<T> = std::result::Result<T, SoupError>;
@@ -444,8 +444,7 @@ pub struct WorkerControl {
 /// the heartbeat thread and the protocol steps interleave whole frames,
 /// and so the chaos plan can strike outbound frames deterministically.
 struct ChaosWriter {
-    writer: BufWriter<UnixStream>,
-    raw: UnixStream,
+    stream: UnixStream,
     chaos: Option<crate::ChaosPlan>,
     shard: usize,
     epoch: u32,
@@ -478,20 +477,14 @@ impl ChaosWriter {
                     "chaos: truncating control frame op={op} (shard {})",
                     self.shard
                 );
-                use std::io::Write;
-                let mut frame = Vec::with_capacity(5 + payload.len());
-                frame.extend_from_slice(&(payload.len() as u32 + 1).to_le_bytes());
-                frame.push(op);
-                frame.extend_from_slice(payload);
-                let half = &frame[..frame.len() / 2];
-                let _ = self.writer.write_all(half);
-                let _ = self.writer.flush();
+                let frame = wire::encode(op, payload, FRAME_CAP)?;
+                let _ = self.stream.write_all(&frame[..frame.len() / 2]);
                 // FIN mid-frame: the supervisor must reject the stream.
-                let _ = self.raw.shutdown(std::net::Shutdown::Write);
+                let _ = self.stream.shutdown(std::net::Shutdown::Write);
                 return Ok(());
             }
         }
-        write_frame(&mut self.writer, op, payload)
+        wire::write_frame(&mut self.stream, op, payload, FRAME_CAP)
     }
 }
 
@@ -503,14 +496,10 @@ impl WorkerControl {
         let path = control_socket_path(&out_dir);
         let stream = crate::halo::connect_retry(&path, Duration::from_secs(30))?;
         let patience = plan.worker_patience();
-        stream
-            .set_read_timeout(Some(patience))
-            .map_err(SoupError::from)?;
-        let reader = BufReader::new(stream.try_clone().map_err(SoupError::from)?);
-        let raw = stream.try_clone().map_err(SoupError::from)?;
+        stream.set_read_timeout(Some(patience))?;
+        let reader = BufReader::new(stream.try_clone()?);
         let writer = Arc::new(Mutex::new(ChaosWriter {
-            writer: BufWriter::new(stream),
-            raw,
+            stream,
             chaos: plan.chaos.clone(),
             shard,
             epoch,
@@ -565,7 +554,7 @@ impl WorkerControl {
     /// A bounded read of the next control frame, mapping timeout to a
     /// typed [`SoupError::WorkerLost`].
     fn wait(&mut self, want: u8) -> Result<Vec<u8>> {
-        match expect_frame(&mut self.reader, want) {
+        match wire::expect_frame(&mut self.reader, want, FRAME_CAP) {
             Ok(p) => Ok(p),
             Err(SoupError::Io { source, .. })
                 if matches!(
@@ -785,5 +774,63 @@ mod tests {
         assert_eq!(plan.worker_timeout_ms, 30_000);
         assert_eq!(plan.restart_budget, 2);
         assert!(plan.chaos.is_none());
+    }
+
+    fn chaos_writer(chaos: Option<crate::ChaosPlan>) -> (ChaosWriter, UnixStream) {
+        let (stream, peer) = UnixStream::pair().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let writer = ChaosWriter {
+            stream,
+            chaos,
+            shard: 0,
+            epoch: 0,
+            seq: 0,
+        };
+        (writer, peer)
+    }
+
+    #[test]
+    fn control_frames_keep_their_wire_bytes() {
+        // Captured from the hand-rolled control encoder before it moved
+        // onto the shared codec.
+        let (mut w, mut peer) = chaos_writer(None);
+        w.send(OP_READY, &shard_epoch_payload(3, 2)).unwrap();
+        w.send(OP_HEARTBEAT, &shard_epoch_payload(3, 2)).unwrap();
+        let mut result = shard_epoch_payload(1, 0).to_vec();
+        result.extend_from_slice(b"{\"shard\":1}");
+        w.send(OP_RESULT, &result).unwrap();
+        drop(w);
+        let mut bytes = Vec::new();
+        std::io::Read::read_to_end(&mut peer, &mut bytes).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "090000000a0300000002000000\
+             09000000100300000002000000\
+             140000000e01000000000000007b227368617264223a317d"
+        );
+    }
+
+    #[test]
+    fn chaos_truncate_writes_a_strict_prefix_of_a_valid_frame() {
+        let truncating = (0..64)
+            .map(|seed| crate::ChaosPlan {
+                seed,
+                frame_rate: 1.0,
+                ..Default::default()
+            })
+            .find(|c| c.frame_fault(0, OP_READY, 0, 0) == Some(crate::FrameFault::Truncate))
+            .expect("some seed truncates the first READY");
+        let (mut w, mut peer) = chaos_writer(Some(truncating));
+        let payload = shard_epoch_payload(0, 0);
+        w.send(OP_READY, &payload).unwrap();
+        let mut bytes = Vec::new();
+        std::io::Read::read_to_end(&mut peer, &mut bytes).unwrap();
+        let full = wire::encode(OP_READY, &payload, FRAME_CAP).unwrap();
+        assert!(!bytes.is_empty() && bytes.len() < full.len(), "{bytes:?}");
+        assert!(full.starts_with(&bytes));
+        let err = wire::read_frame(&mut &bytes[..], FRAME_CAP).unwrap_err();
+        assert_eq!(err.kind(), "io");
     }
 }

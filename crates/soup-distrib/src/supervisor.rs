@@ -36,16 +36,16 @@
 //! gauge, and the per-worker `distrib.worker.<shard>.heartbeat_s` gauges
 //! republished from worker heartbeats.
 
-use std::io::Read;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::Child;
 use std::time::{Duration, Instant};
 
+use soup_error::wire::{self, FrameBuf};
 use soup_error::SoupError;
 
 use crate::halo::{
-    control_socket_path, FrameBuf, OP_ACK, OP_FETCHED, OP_GO, OP_HEARTBEAT, OP_PROCEED, OP_READY,
+    control_socket_path, FRAME_CAP, OP_ACK, OP_FETCHED, OP_GO, OP_HEARTBEAT, OP_PROCEED, OP_READY,
     OP_RESULT,
 };
 use crate::shard::{ShardPlan, ShardResult, ShardRunReport, WorkerLaunch};
@@ -108,79 +108,23 @@ struct PendingConn {
     since: Instant,
 }
 
-/// What `pump` found on a connection this tick.
-enum Pumped {
-    Idle,
-    Progress,
-    Eof,
-}
-
-/// Read whatever is available on a nonblocking stream into `buf`.
-fn pump(stream: &mut UnixStream, buf: &mut FrameBuf) -> Result<Pumped> {
-    let mut chunk = [0u8; 4096];
-    let mut progressed = false;
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(Pumped::Eof),
-            Ok(n) => {
-                buf.extend(&chunk[..n]);
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                return Ok(if progressed {
-                    Pumped::Progress
-                } else {
-                    Pumped::Idle
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(SoupError::from(e)),
-        }
-    }
-}
-
-/// Write a (small) control frame to a nonblocking stream, retrying
-/// `WouldBlock` with byte-level progress tracking — a blind re-send of
-/// the whole frame after a partial write would desync the stream.
-/// Control frames are ≤ a few bytes, so a worker that cannot absorb one
-/// within the deadline is as good as dead.
-fn write_frame_deadline(
-    stream: &mut UnixStream,
-    op: u8,
-    payload: &[u8],
-    deadline: Duration,
-) -> Result<()> {
-    use std::io::Write;
-    let mut frame = Vec::with_capacity(5 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32 + 1).to_le_bytes());
-    frame.push(op);
-    frame.extend_from_slice(payload);
+/// Send an empty control frame (ACK/GO/PROCEED) on a nonblocking
+/// stream. A worker that cannot absorb a few bytes within `deadline` is as
+/// good as dead; until then every `WouldBlock` is retried after 2 ms.
+fn send_control(stream: &mut UnixStream, op: u8, deadline: Duration) -> Result<()> {
+    let frame = wire::encode(op, &[], FRAME_CAP)?;
     let start = Instant::now();
-    let mut off = 0;
-    while off < frame.len() {
-        match (&*stream).write(&frame[off..]) {
-            Ok(0) => {
-                return Err(SoupError::worker_lost(
-                    usize::MAX,
-                    "control socket rejected write",
-                ))
-            }
-            Ok(n) => off += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if start.elapsed() >= deadline {
-                    return Err(SoupError::worker_lost(
-                        usize::MAX,
-                        format!("control write stalled for {:.1}s", deadline.as_secs_f64()),
-                    ));
-                }
-                soup_obs::counter!("supervisor.frame_retries").inc();
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(SoupError::from(e)),
+    wire::send_nonblocking(stream, &frame, || {
+        if start.elapsed() >= deadline {
+            return Err(SoupError::worker_lost(
+                usize::MAX,
+                format!("control write stalled for {:.1}s", deadline.as_secs_f64()),
+            ));
         }
-    }
-    Ok(())
+        soup_obs::counter!("supervisor.frame_retries").inc();
+        std::thread::sleep(Duration::from_millis(2));
+        Ok(())
+    })
 }
 
 fn unix_now_s() -> f64 {
@@ -339,7 +283,7 @@ impl<'a> Supervisor<'a> {
                     }
                     self.pending.push(PendingConn {
                         stream,
-                        buf: FrameBuf::new(),
+                        buf: FrameBuf::new(FRAME_CAP),
                         since: Instant::now(),
                     });
                 }
@@ -357,9 +301,9 @@ impl<'a> Supervisor<'a> {
         let timeout = self.timeout();
         let mut keep: Vec<PendingConn> = Vec::new();
         for mut p in std::mem::take(&mut self.pending) {
-            match pump(&mut p.stream, &mut p.buf) {
-                Ok(Pumped::Eof) | Err(_) => continue, // dropped before READY
-                Ok(_) => {}
+            match p.buf.fill(&mut p.stream) {
+                Ok(true) | Err(_) => continue, // dropped before READY
+                Ok(false) => {}
             }
             match p.buf.pop() {
                 Ok(None) => {
@@ -418,14 +362,13 @@ impl<'a> Supervisor<'a> {
             let Some(conn) = slot.conn.as_mut() else {
                 continue;
             };
-            let pumped = match pump(&mut conn.stream, &mut conn.buf) {
-                Ok(p) => p,
+            let mut closed = match conn.buf.fill(&mut conn.stream) {
+                Ok(eof) => eof,
                 Err(e) => {
                     lost.push((i, format!("control read failed: {e}")));
                     continue;
                 }
             };
-            let mut closed = matches!(pumped, Pumped::Eof);
             loop {
                 let frame = match slot.conn.as_mut().unwrap().buf.pop() {
                     Ok(Some(f)) => f,
@@ -466,9 +409,7 @@ impl<'a> Supervisor<'a> {
                     OP_RESULT => match parse_result(rest, slot.shard) {
                         Ok(result) => {
                             let conn = slot.conn.as_mut().unwrap();
-                            if let Err(e) =
-                                write_frame_deadline(&mut conn.stream, OP_ACK, &[], deadline)
-                            {
+                            if let Err(e) = send_control(&mut conn.stream, OP_ACK, deadline) {
                                 soup_obs::warn!(
                                     "shard {}: ACK not delivered ({e}); result kept",
                                     slot.shard
@@ -576,7 +517,7 @@ impl<'a> Supervisor<'a> {
             for (i, slot) in self.slots.iter_mut().enumerate() {
                 if slot.state == SlotState::Ready && !slot.go_sent {
                     if let Some(conn) = slot.conn.as_mut() {
-                        match write_frame_deadline(&mut conn.stream, OP_GO, &[], deadline) {
+                        match send_control(&mut conn.stream, OP_GO, deadline) {
                             Ok(()) => slot.go_sent = true,
                             Err(e) => lost.push((i, format!("GO not delivered: {e}"))),
                         }
@@ -599,7 +540,7 @@ impl<'a> Supervisor<'a> {
             for (i, slot) in self.slots.iter_mut().enumerate() {
                 if slot.state == SlotState::Fetched && !slot.proceed_sent {
                     if let Some(conn) = slot.conn.as_mut() {
-                        match write_frame_deadline(&mut conn.stream, OP_PROCEED, &[], deadline) {
+                        match send_control(&mut conn.stream, OP_PROCEED, deadline) {
                             Ok(()) => slot.proceed_sent = true,
                             Err(e) => lost.push((i, format!("PROCEED not delivered: {e}"))),
                         }
@@ -783,34 +724,18 @@ pub fn run_supervised(plan: &ShardPlan, launch: &WorkerLaunch) -> Result<ShardRu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::halo::write_frame;
 
     #[test]
-    fn pump_handles_fragmented_frames_over_a_socketpair() {
-        let (mut a, b) = UnixStream::pair().unwrap();
-        b.set_nonblocking(true).unwrap();
-        let mut b = b;
-        let mut wire = Vec::new();
-        write_frame(&mut wire, OP_READY, &crate::halo::shard_epoch_payload(1, 0)).unwrap();
-        // First half now, second half later.
-        use std::io::Write;
-        a.write_all(&wire[..wire.len() / 2]).unwrap();
-        a.flush().unwrap();
-        let mut buf = FrameBuf::new();
-        assert!(matches!(pump(&mut b, &mut buf).unwrap(), Pumped::Progress));
-        assert!(buf.pop().unwrap().is_none(), "half a frame is no frame");
-        a.write_all(&wire[wire.len() / 2..]).unwrap();
-        a.flush().unwrap();
-        assert!(matches!(pump(&mut b, &mut buf).unwrap(), Pumped::Progress));
-        let (op, payload) = buf.pop().unwrap().unwrap();
-        assert_eq!(op, OP_READY);
-        assert_eq!(
-            crate::halo::parse_shard_epoch(&payload).unwrap(),
-            (1, 0, &[][..])
-        );
-        // Peer hangs up: pump reports EOF.
+    fn control_sends_keep_their_wire_bytes() {
+        // GO exactly as the hand-rolled nonblocking writer sent it before
+        // the shared codec.
+        let (mut a, mut b) = UnixStream::pair().unwrap();
+        a.set_nonblocking(true).unwrap();
+        send_control(&mut a, OP_GO, Duration::from_secs(1)).unwrap();
         drop(a);
-        assert!(matches!(pump(&mut b, &mut buf).unwrap(), Pumped::Eof));
+        let mut bytes = Vec::new();
+        std::io::Read::read_to_end(&mut b, &mut bytes).unwrap();
+        assert_eq!(bytes, [0x01, 0x00, 0x00, 0x00, 0x0b]);
     }
 
     #[test]

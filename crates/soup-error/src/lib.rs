@@ -22,9 +22,15 @@
 //! | [`SoupError::Usage`] | CLI / builder misuse (missing or unparsable options) |
 //! | [`SoupError::WorkerLost`] | a shard-worker OS process crashed or missed its heartbeat deadline |
 //! | [`SoupError::ShardDegraded`] | shard(s) exhausted their restart budget; run carries on without them |
+//!
+//! The crate also owns [`wire`], the one `len | op | payload` frame codec
+//! that serving, halo exchange and the shard control channel share; its
+//! failures are these same variants.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+pub mod wire;
 
 /// Workspace-wide result alias. Re-exported as `soup_core::Result`.
 pub type Result<T> = std::result::Result<T, SoupError>;

@@ -31,8 +31,7 @@ pub mod train;
 pub use cache::PropCache;
 pub use checkpoint::{
     checkpoint_name, checkpoint_path, decode_checkpoint, encode_checkpoint, find_checkpoint,
-    legacy_checkpoint_path, load_checkpoint, save_checkpoint, save_checkpoint_v1,
-    validate_checkpoint, Checkpoint,
+    load_checkpoint, save_checkpoint, validate_checkpoint, Checkpoint,
 };
 pub use config::{Arch, ModelConfig};
 pub use eval::{

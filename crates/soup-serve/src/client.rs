@@ -1,8 +1,8 @@
 //! Blocking client for the serve protocol, used by `soupctl query`, the
 //! load generator, and the integration tests.
 
-use crate::proto::{self, Request, Response};
-use soup_error::SoupError;
+use crate::proto::{self, Request, Response, MAX_FRAME};
+use soup_error::{wire, SoupError};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -41,13 +41,15 @@ impl Client {
     }
 
     fn call(&mut self, req: &Request) -> soup_error::Result<Response> {
-        proto::write_frame(&mut self.stream, &proto::encode_request(req)).map_err(|e| {
-            SoupError::Io {
-                path: None,
-                source: e,
-            }
-        })?;
-        proto::decode_response(&proto::read_frame(&mut self.stream)?)
+        wire::send(&mut self.stream, &proto::encode_request(req)?)?;
+        match wire::read_frame(&mut self.stream, MAX_FRAME)? {
+            Some((status, body)) => proto::decode_response(status, body),
+            None => Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )
+            .into()),
+        }
     }
 
     fn call_version(&mut self, req: &Request, what: &str) -> soup_error::Result<u64> {

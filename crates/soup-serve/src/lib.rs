@@ -21,8 +21,9 @@
 //!   histograms, and a queue-depth gauge in the soup-obs registry,
 //!   surfaced by the `STATS` opcode.
 //!
-//! The wire format ([`proto`]) is deliberately tiny: length-prefixed
-//! binary frames over TCP, no external protocol dependencies. [`client`]
+//! The wire format ([`proto`]) is deliberately tiny: opcode-tagged
+//! [`soup_error::wire`] frames over TCP, the same codec the shard control
+//! channel and halo exchange use, no external protocol dependencies. [`client`]
 //! is the matching blocking client and [`load`] a deterministic
 //! Zipf-skewed closed-loop generator used by `bench_serve` and CI.
 
@@ -35,5 +36,5 @@ pub mod server;
 pub use batcher::PredictReply;
 pub use client::{Client, PredictResult};
 pub use load::{run_closed_loop, LoadConfig, LoadReport, ZipfSampler};
-pub use proto::{Opcode, Request, Response, Status, MAX_FRAME};
+pub use proto::{Opcode, Request, Response, Status, MAX_FRAME, MAX_PREDICT_IDS};
 pub use server::{ServeConfig, ServeModel, Server};

@@ -1,12 +1,12 @@
-//! Wire protocol: length-prefixed binary frames over TCP.
+//! Serve protocol: request and response frames over TCP.
 //!
-//! Every message — request or response — is one *frame*: a little-endian
-//! `u32` payload length followed by that many bytes. Frames above
+//! Every message is one [`soup_error::wire`] frame (`len:u32-LE op:u8
+//! payload`), the codec shared with the shard control channel and halo
+//! exchange. A request's frame op is its [`Opcode`], a response's is its
+//! [`Status`]; the payload after it is opcode-specific and fixed-layout
+//! (no self-describing encoding on the hot path). Frames above
 //! [`MAX_FRAME`] are rejected before allocation, so a hostile or corrupt
-//! length prefix cannot OOM the server. A request payload starts with an
-//! opcode byte, a response payload with a status byte; everything after is
-//! opcode-specific and fixed-layout (no self-describing encoding on the
-//! hot path).
+//! length prefix cannot OOM the server.
 //!
 //! | opcode | body | OK body |
 //! |---|---|---|
@@ -17,19 +17,22 @@
 //! | `RESOUP` | `u64` seed, `u8` strategy len, strategy, UTF-8 dir | `u64` new version |
 //! | `SHUTDOWN` | — | — |
 //!
-//! Response status [`Status::Overloaded`] (empty body) is the explicit
-//! backpressure signal: the admission queue was full and the request was
-//! *not* processed; the client may retry. Malformed input of any kind
-//! decodes to a clean [`SoupError`] — never a panic — and the server
-//! answers [`Status::Error`] with a message body.
+//! A PREDICT carries at most [`MAX_PREDICT_IDS`] ids, the most whose OK
+//! reply still fits in a frame. Response status [`Status::Overloaded`]
+//! (empty body) is the explicit backpressure signal: the admission queue
+//! was full and the request was *not* processed; the client may retry.
+//! Malformed input of any kind decodes to a clean [`SoupError`] — never a
+//! panic — and the server answers [`Status::Error`] with a message body.
 
-use soup_error::SoupError;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use soup_error::{wire, SoupError};
 
-/// Hard cap on frame payload size (1 MiB ≈ 260k node ids per request).
+/// Cap on a frame's length field (opcode or status byte plus payload) in
+/// both directions.
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// Most node ids one PREDICT may carry: its OK reply (status, `u64`
+/// version, `u32` count, one `u32` class per id) must fit in [`MAX_FRAME`].
+pub const MAX_PREDICT_IDS: usize = (MAX_FRAME - 1 - 12) / 4;
 
 /// Request opcodes (first payload byte of a request frame).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,166 +87,50 @@ pub enum Response {
     Overloaded,
 }
 
-/// Write one frame: `u32` little-endian length, then the payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+fn frame(op: u8, payload: &[u8]) -> soup_error::Result<Vec<u8>> {
+    wire::encode(op, payload, MAX_FRAME)
 }
 
-/// Read one frame's payload. Truncated streams surface as an I/O error
-/// (`UnexpectedEof`), oversized length prefixes as a parse error — both
-/// before any payload allocation happens.
-pub fn read_frame(r: &mut impl Read) -> soup_error::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len).map_err(io_err)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(SoupError::parse(format!(
-            "frame length {len} exceeds cap {MAX_FRAME}"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(io_err)?;
-    Ok(payload)
-}
-
-fn io_err(source: std::io::Error) -> SoupError {
-    SoupError::Io { path: None, source }
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Read one frame with an idle/stall budget, distinguishing the two ways
-/// a client can go quiet:
-///
-/// - **idle** — nothing arrives before the first byte of the length
-///   prefix within `idle`: the connection is just parked between
-///   requests. Returns `Ok(None)` so the server can reap it cleanly.
-/// - **stalled** — a frame *started* but did not complete within one
-///   further `idle` budget: a crashed or malicious (slow-loris) client.
-///   Returns a typed `TimedOut` I/O error; total time a drip-feeding
-///   client can hold a handler is bounded at ~2× `idle`.
-///
-/// EOF surfaces exactly like [`read_frame`]'s (`UnexpectedEof`), so the
-/// caller's hangup handling is unchanged.
-pub fn read_frame_deadline(
-    stream: &mut TcpStream,
-    idle: Duration,
-) -> soup_error::Result<Option<Vec<u8>>> {
-    stream.set_read_timeout(Some(idle)).map_err(io_err)?;
-    let mut len = [0u8; 4];
-    let first = loop {
-        match stream.read(&mut len) {
-            Ok(0) => {
-                return Err(io_err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed",
-                )))
-            }
-            Ok(n) => break n,
-            Err(e) if is_timeout(&e) => return Ok(None),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_err(e)),
-        }
-    };
-    // A frame has begun: everything else must land before one overall
-    // deadline, however many partial reads it takes.
-    let deadline = Instant::now() + idle;
-    read_exact_deadline(stream, &mut len[first..], deadline, "length prefix")?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(SoupError::parse(format!(
-            "frame length {len} exceeds cap {MAX_FRAME}"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    read_exact_deadline(stream, &mut payload, deadline, "payload")?;
-    Ok(Some(payload))
-}
-
-fn read_exact_deadline(
-    stream: &mut TcpStream,
-    mut buf: &mut [u8],
-    deadline: Instant,
-    what: &str,
-) -> soup_error::Result<()> {
-    while !buf.is_empty() {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(stall(what));
-        }
-        stream.set_read_timeout(Some(remaining)).map_err(io_err)?;
-        match stream.read(buf) {
-            Ok(0) => {
-                return Err(io_err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                )))
-            }
-            Ok(n) => buf = &mut std::mem::take(&mut buf)[n..],
-            Err(e) if is_timeout(&e) => return Err(stall(what)),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_err(e)),
-        }
-    }
-    Ok(())
-}
-
-fn stall(what: &str) -> SoupError {
-    io_err(std::io::Error::new(
-        std::io::ErrorKind::TimedOut,
-        format!("client stalled mid-frame ({what})"),
-    ))
-}
-
-/// Encode a request into a frame payload.
-pub fn encode_request(req: &Request) -> Vec<u8> {
+/// Encode a request as one complete frame.
+pub fn encode_request(req: &Request) -> soup_error::Result<Vec<u8>> {
     match req {
-        Request::Ping => vec![Opcode::Ping as u8],
-        Request::Predict(nodes) => {
-            let mut buf = Vec::with_capacity(5 + 4 * nodes.len());
-            buf.push(Opcode::Predict as u8);
-            buf.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
-            for &n in nodes {
-                buf.extend_from_slice(&n.to_le_bytes());
-            }
-            buf
-        }
-        Request::Stats => vec![Opcode::Stats as u8],
-        Request::Swap(path) => {
-            let mut buf = vec![Opcode::Swap as u8];
-            buf.extend_from_slice(path.as_bytes());
-            buf
-        }
+        Request::Ping => frame(Opcode::Ping as u8, &[]),
+        Request::Predict(nodes) => wire::encode_with(
+            Opcode::Predict as u8,
+            MAX_FRAME,
+            4 + 4 * nodes.len(),
+            |buf| {
+                buf.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+                for &n in nodes {
+                    buf.extend_from_slice(&n.to_le_bytes());
+                }
+            },
+        ),
+        Request::Stats => frame(Opcode::Stats as u8, &[]),
+        Request::Swap(path) => frame(Opcode::Swap as u8, path.as_bytes()),
         Request::Resoup {
             strategy,
             dir,
             seed,
-        } => {
-            let mut buf = vec![Opcode::Resoup as u8];
-            buf.extend_from_slice(&seed.to_le_bytes());
-            buf.push(strategy.len() as u8);
-            buf.extend_from_slice(strategy.as_bytes());
-            buf.extend_from_slice(dir.as_bytes());
-            buf
-        }
-        Request::Shutdown => vec![Opcode::Shutdown as u8],
+        } => wire::encode_with(
+            Opcode::Resoup as u8,
+            MAX_FRAME,
+            9 + strategy.len() + dir.len(),
+            |buf| {
+                buf.extend_from_slice(&seed.to_le_bytes());
+                buf.push(strategy.len() as u8);
+                buf.extend_from_slice(strategy.as_bytes());
+                buf.extend_from_slice(dir.as_bytes());
+            },
+        ),
+        Request::Shutdown => frame(Opcode::Shutdown as u8, &[]),
     }
 }
 
-/// Decode a request frame payload. Any malformed input — empty payload,
-/// unknown opcode, short body, non-UTF-8 text — is a typed error.
-pub fn decode_request(payload: &[u8]) -> soup_error::Result<Request> {
-    let (&op, body) = payload
-        .split_first()
-        .ok_or_else(|| SoupError::parse("empty request frame"))?;
+/// Decode a request frame's opcode and body. Any malformed input —
+/// unknown opcode, short body, too many ids, non-UTF-8 text — is a typed
+/// error.
+pub fn decode_request(op: u8, body: &[u8]) -> soup_error::Result<Request> {
     match op {
         x if x == Opcode::Ping as u8 => Ok(Request::Ping),
         x if x == Opcode::Predict as u8 => {
@@ -251,6 +138,11 @@ pub fn decode_request(payload: &[u8]) -> soup_error::Result<Request> {
                 return Err(SoupError::parse("predict body shorter than its count"));
             }
             let count = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
+            if count > MAX_PREDICT_IDS {
+                return Err(SoupError::parse(format!(
+                    "predict of {count} ids exceeds the limit of {MAX_PREDICT_IDS}"
+                )));
+            }
             let ids = &body[4..];
             if ids.len() != 4 * count {
                 return Err(SoupError::parse(format!(
@@ -287,32 +179,20 @@ pub fn decode_request(payload: &[u8]) -> soup_error::Result<Request> {
     }
 }
 
-/// Encode a response into a frame payload.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
+/// Encode a response as one complete frame.
+pub fn encode_response(resp: &Response) -> soup_error::Result<Vec<u8>> {
     match resp {
-        Response::Ok(body) => {
-            let mut buf = Vec::with_capacity(1 + body.len());
-            buf.push(Status::Ok as u8);
-            buf.extend_from_slice(body);
-            buf
-        }
-        Response::Error(msg) => {
-            let mut buf = vec![Status::Error as u8];
-            buf.extend_from_slice(msg.as_bytes());
-            buf
-        }
-        Response::Overloaded => vec![Status::Overloaded as u8],
+        Response::Ok(body) => frame(Status::Ok as u8, body),
+        Response::Error(msg) => frame(Status::Error as u8, msg.as_bytes()),
+        Response::Overloaded => frame(Status::Overloaded as u8, &[]),
     }
 }
 
-/// Decode a response frame payload.
-pub fn decode_response(payload: &[u8]) -> soup_error::Result<Response> {
-    let (&status, body) = payload
-        .split_first()
-        .ok_or_else(|| SoupError::parse("empty response frame"))?;
+/// Decode a response frame's status and body.
+pub fn decode_response(status: u8, body: Vec<u8>) -> soup_error::Result<Response> {
     match status {
-        x if x == Status::Ok as u8 => Ok(Response::Ok(body.to_vec())),
-        x if x == Status::Error as u8 => Ok(Response::Error(utf8(body, "error message")?)),
+        x if x == Status::Ok as u8 => Ok(Response::Ok(body)),
+        x if x == Status::Error as u8 => Ok(Response::Error(utf8(&body, "error message")?)),
         x if x == Status::Overloaded as u8 => Ok(Response::Overloaded),
         other => Err(SoupError::parse(format!("unknown status {other}"))),
     }
@@ -359,6 +239,16 @@ fn utf8(bytes: &[u8], what: &str) -> soup_error::Result<String> {
 mod tests {
     use super::*;
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unframe(frame: &[u8]) -> (u8, Vec<u8>) {
+        wire::read_frame(&mut &frame[..], MAX_FRAME)
+            .unwrap()
+            .unwrap()
+    }
+
     #[test]
     fn requests_round_trip() {
         let cases = vec![
@@ -375,7 +265,8 @@ mod tests {
             Request::Shutdown,
         ];
         for req in cases {
-            assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
+            let (op, body) = unframe(&encode_request(&req).unwrap());
+            assert_eq!(decode_request(op, &body).unwrap(), req);
         }
     }
 
@@ -387,8 +278,65 @@ mod tests {
             Response::Overloaded,
         ];
         for resp in cases {
-            assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
+            let (status, body) = unframe(&encode_response(&resp).unwrap());
+            assert_eq!(decode_response(status, body).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // Captured from the encoders before serve moved onto the shared codec.
+        let predict = Request::Predict(vec![1, 2, 0xdead_beef]);
+        assert_eq!(
+            hex(&encode_request(&predict).unwrap()),
+            "1100000001030000000100000002000000efbeadde"
+        );
+        assert_eq!(hex(&encode_request(&Request::Ping).unwrap()), "0100000000");
+        let ok = Response::Ok(encode_predictions(7, &[3, 1]));
+        assert_eq!(
+            hex(&encode_response(&ok).unwrap()),
+            "15000000000700000000000000020000000300000001000000"
+        );
+        let error = Response::Error("boom".into());
+        assert_eq!(hex(&encode_response(&error).unwrap()), "0500000001626f6f6d");
+        assert_eq!(
+            hex(&encode_response(&Response::Overloaded).unwrap()),
+            "0100000002"
+        );
+    }
+
+    #[test]
+    fn predict_limit_keeps_every_reply_inside_the_cap() {
+        let max = vec![0u32; MAX_PREDICT_IDS];
+        let reply = encode_response(&Response::Ok(encode_predictions(u64::MAX, &max))).unwrap();
+        assert!(reply.len() - 4 <= MAX_FRAME);
+        let (op, body) = unframe(&encode_request(&Request::Predict(max)).unwrap());
+        assert!(decode_request(op, &body).is_ok());
+        // One more id still fits a request frame but is refused by decode.
+        let over = Request::Predict(vec![0; MAX_PREDICT_IDS + 1]);
+        let (op, body) = unframe(&encode_request(&over).unwrap());
+        let err = decode_request(op, &body).unwrap_err();
+        assert!(err.to_string().contains("exceeds the limit"), "{err}");
+        let too_long = vec![0u32; MAX_PREDICT_IDS + 1];
+        assert!(encode_response(&Response::Ok(encode_predictions(0, &too_long))).is_err());
+    }
+
+    #[test]
+    fn frame_cap_boundaries() {
+        let at_cap = frame(Status::Ok as u8, &vec![0; MAX_FRAME - 1]).unwrap();
+        assert_eq!(unframe(&at_cap).1.len(), MAX_FRAME - 1);
+        assert_eq!(
+            frame(Status::Ok as u8, &vec![0; MAX_FRAME])
+                .unwrap_err()
+                .kind(),
+            "usage"
+        );
+        let over = (MAX_FRAME as u32 + 1).to_le_bytes();
+        let err = wire::read_frame(&mut &over[..], MAX_FRAME).unwrap_err();
+        assert_eq!(err.kind(), "corrupt");
+        let empty = 0u32.to_le_bytes();
+        let err = wire::read_frame(&mut &empty[..], MAX_FRAME).unwrap_err();
+        assert_eq!(err.kind(), "parse");
     }
 
     #[test]
@@ -398,46 +346,27 @@ mod tests {
     }
 
     #[test]
-    fn oversized_frame_is_rejected_before_allocation() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        let err = read_frame(&mut bytes.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), "parse");
-    }
-
-    #[test]
-    fn truncated_frame_is_a_clean_io_error() {
-        // Declares 100 bytes, carries 3.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&100u32.to_le_bytes());
-        bytes.extend_from_slice(b"abc");
-        let err = read_frame(&mut bytes.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), "io");
-    }
-
-    #[test]
     fn garbage_never_panics() {
-        // Every short prefix and a few mutations of a valid frame must
+        // Every short prefix and a few mutations of a valid request must
         // decode to Err, not panic.
-        let valid = encode_request(&Request::Predict(vec![1, 2, 3]));
+        let (op, valid) = unframe(&encode_request(&Request::Predict(vec![1, 2, 3])).unwrap());
         for cut in 0..valid.len() {
-            let _ = decode_request(&valid[..cut]);
+            let _ = decode_request(op, &valid[..cut]);
         }
         for i in 0..valid.len() {
             let mut mutated = valid.clone();
             mutated[i] ^= 0xFF;
-            let _ = decode_request(&mutated);
+            let _ = decode_request(op, &mutated);
+            let _ = decode_request(op ^ 0xFF, &mutated);
         }
-        assert!(decode_request(&[]).is_err());
-        assert!(decode_request(&[99]).is_err());
-        assert!(decode_response(&[]).is_err());
+        assert!(decode_request(99, &[]).is_err());
+        assert!(decode_response(99, vec![]).is_err());
     }
 
     #[test]
     fn predict_count_mismatch_is_an_error() {
-        let mut bad = vec![Opcode::Predict as u8];
-        bad.extend_from_slice(&10u32.to_le_bytes()); // claims 10 ids
+        let mut bad = 10u32.to_le_bytes().to_vec(); // claims 10 ids
         bad.extend_from_slice(&7u32.to_le_bytes()); // carries 1
-        assert!(decode_request(&bad).is_err());
+        assert!(decode_request(Opcode::Predict as u8, &bad).is_err());
     }
 }

@@ -19,10 +19,11 @@
 //! request is dropped by a swap.
 
 use crate::batcher::{self, PredictJob, PredictReply};
-use crate::proto::{self, Request, Response};
+use crate::proto::{self, Request, Response, MAX_FRAME};
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 use soup_core::{load_manifest, SoupCtx, StrategySpec};
+use soup_error::wire::{self, Polled};
 use soup_error::SoupError;
 use soup_gnn::{
     load_checkpoint, predict_cached, predict_quant, ModelConfig, ParamSet, PropCache, PropOps,
@@ -334,66 +335,45 @@ fn accept_loop(shared: Arc<ServeShared>, listener: Arc<TcpListener>) {
 }
 
 /// Serve one connection until EOF, idle expiry, a fatal I/O error, or
-/// shutdown. Reads run under [`proto::read_frame_deadline`] so a parked
+/// shutdown. Reads run under [`wire::read_frame_deadline`] so a parked
 /// client is reaped after `idle_timeout` and a mid-frame staller after at
 /// most twice that; writes carry the same timeout, so a client that stops
 /// draining its socket cannot pin a worker thread either.
 fn handle_conn(shared: &Arc<ServeShared>, mut stream: TcpStream) -> soup_error::Result<()> {
-    let io_err = |e: std::io::Error| SoupError::Io {
-        path: None,
-        source: e,
-    };
-    stream.set_nodelay(true).map_err(io_err)?;
-    stream
-        .set_write_timeout(Some(shared.config.idle_timeout))
-        .map_err(io_err)?;
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(shared.config.idle_timeout))?;
     loop {
-        let payload = match proto::read_frame_deadline(&mut stream, shared.config.idle_timeout) {
-            Ok(Some(p)) => p,
-            // Idle past the deadline between requests: reap quietly.
-            Ok(None) => {
-                soup_obs::counter!("serve.idle_reaped").inc();
-                soup_obs::debug!("reaped idle connection");
-                return Ok(());
-            }
-            // EOF between frames is the normal way a client hangs up.
-            Err(err) => {
-                return match &err {
-                    SoupError::Io { source, .. }
-                        if source.kind() == std::io::ErrorKind::UnexpectedEof =>
-                    {
-                        Ok(())
-                    }
-                    SoupError::Io { source, .. }
-                        if source.kind() == std::io::ErrorKind::TimedOut =>
+        let decoded =
+            match wire::read_frame_deadline(&mut stream, shared.config.idle_timeout, MAX_FRAME) {
+                Ok(Polled::Frame(op, body)) => proto::decode_request(op, &body),
+                // Idle past the deadline between requests: reap quietly.
+                Ok(Polled::Idle) => {
+                    soup_obs::counter!("serve.idle_reaped").inc();
+                    soup_obs::debug!("reaped idle connection");
+                    return Ok(());
+                }
+                // EOF between frames is the normal way a client hangs up.
+                Ok(Polled::Closed) => return Ok(()),
+                // An empty frame: malformed, but the stream is still in sync.
+                Err(err @ SoupError::Parse(_)) => Err(err),
+                Err(err) => {
+                    if matches!(&err, SoupError::Io { source, .. }
+                        if source.kind() == std::io::ErrorKind::TimedOut)
                     {
                         soup_obs::counter!("serve.stalled").inc();
-                        Err(err)
                     }
-                    _ => Err(err),
+                    return Err(err);
                 }
-            }
-        };
-        let (resp, stop_after) = match proto::decode_request(&payload) {
+            };
+        let (resp, stop_after) = match decoded {
             Ok(req) => dispatch(shared, req),
             // Malformed frame: answer with the decode error, keep serving —
             // the framing layer is still synchronized.
             Err(err) => (Response::Error(err.to_string()), false),
         };
-        proto::write_frame(&mut stream, &proto::encode_response(&resp)).map_err(|e| {
-            SoupError::Io {
-                path: None,
-                source: e,
-            }
-        })?;
+        wire::send(&mut stream, &proto::encode_response(&resp)?)?;
         if stop_after {
-            request_stop(
-                shared,
-                stream.local_addr().map_err(|e| SoupError::Io {
-                    path: None,
-                    source: e,
-                })?,
-            );
+            request_stop(shared, stream.local_addr()?);
             return Ok(());
         }
     }

@@ -25,7 +25,7 @@ pub mod journal;
 pub mod store;
 
 pub use atomic::{write_durable, write_durable_streamed};
-pub use envelope::{is_envelope, open as open_envelope, seal as seal_envelope, HEADER_LEN, MAGIC};
+pub use envelope::{open as open_envelope, seal as seal_envelope, HEADER_LEN, MAGIC};
 pub use fault::{StorageFault, StorageFaultPlan};
 pub use journal::{
     load_journal, update_journal, Journal, Phase2Progress, JOURNAL_VERSION, MANIFEST,

@@ -17,7 +17,7 @@ use crate::pool;
 use crate::rng::SplitMix64;
 use crate::shape::Shape;
 use crate::storage::Buf;
-use crate::view::{MatMut, MatRef};
+use crate::view::{matmul_naive_views, MatMut, MatRef};
 use rayon::prelude::*;
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
@@ -291,14 +291,15 @@ impl Tensor {
     // ---------------------------------------------------------- linear algebra
 
     /// Dense matrix product `self × other` via the cache-blocked GEMM
-    /// ([`crate::gemm`]); tiny products fall back to [`Self::matmul_naive`].
+    /// ([`crate::gemm`]); tiny products fall back to
+    /// [`crate::view::matmul_naive_views`].
     pub fn matmul(&self, other: &Tensor) -> Self {
         let (m, k) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul inner dims {} vs {}", self.shape, other.shape);
         record_matmul_metrics(m, k, n);
         if m * n * k < gemm::SMALL_GEMM_MACS {
-            return self.matmul_naive(other);
+            return matmul_naive_views(&self.view(), &other.view());
         }
         let mut out = pool::take_zeroed(m * n);
         gemm::gemm_views(self.view(), other.view(), &mut out);
@@ -321,7 +322,7 @@ impl Tensor {
         );
         record_matmul_metrics(m, k, n);
         if m * n * k < gemm::SMALL_GEMM_MACS {
-            return self.matmul_nt_naive(other);
+            return matmul_naive_views(&self.view(), &other.view().t());
         }
         let mut out = pool::take_zeroed(m * n);
         gemm::gemm_views(self.view(), other.view().t(), &mut out);
@@ -344,92 +345,10 @@ impl Tensor {
         );
         record_matmul_metrics(k, m, n);
         if k * n * m < gemm::SMALL_GEMM_MACS {
-            return self.matmul_tn_naive(other);
+            return matmul_naive_views(&self.view().t(), &other.view());
         }
         let mut out = pool::take_zeroed(k * n);
         gemm::gemm_views(self.view().t(), other.view(), &mut out);
-        Self::from_vec(k, n, out)
-    }
-
-    /// Row-parallel saxpy matmul — the pre-tiling kernel, kept as the
-    /// small-product fast path and as the baseline the `kernels` bench
-    /// compares the blocked GEMM against. Shapes must already be checked.
-    #[doc(hidden)]
-    pub fn matmul_naive(&self, other: &Tensor) -> Self {
-        let (m, k) = (self.rows(), self.cols());
-        let n = other.cols();
-        debug_assert_eq!(k, other.rows());
-        let a = self.data();
-        let b = other.data();
-        let mut out = pool::take_zeroed(m * n);
-        let work = |(r, out_row): (usize, &mut [f32])| {
-            let a_row = &a[r * k..(r + 1) * k];
-            // k-outer loop keeps the inner loop a contiguous saxpy over the
-            // output row: good auto-vectorisation, B read row-wise.
-            for (kk, &av) in a_row.iter().enumerate() {
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        };
-        if m * n >= par_threshold() {
-            out.par_chunks_mut(n).enumerate().for_each(work);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(work);
-        }
-        Self::from_vec(m, n, out)
-    }
-
-    /// Row-dot-product `self × otherᵀ` — pre-tiling kernel, see
-    /// [`Self::matmul_naive`].
-    #[doc(hidden)]
-    pub fn matmul_nt_naive(&self, other: &Tensor) -> Self {
-        let (m, k) = (self.rows(), self.cols());
-        let n = other.rows();
-        debug_assert_eq!(k, other.cols());
-        let a = self.data();
-        let b = other.data();
-        let mut out = pool::take_scratch(m * n);
-        let work = |(r, out_row): (usize, &mut [f32])| {
-            let a_row = &a[r * k..(r + 1) * k];
-            for (c, o) in out_row.iter_mut().enumerate() {
-                let b_row = &b[c * k..(c + 1) * k];
-                *o = a_row.iter().zip(b_row).map(|(&x, &y)| x * y).sum();
-            }
-        };
-        if m * n >= par_threshold() {
-            out.par_chunks_mut(n).enumerate().for_each(work);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(work);
-        }
-        Self::from_vec(m, n, out)
-    }
-
-    /// Column-gather `selfᵀ × other` — pre-tiling kernel, see
-    /// [`Self::matmul_naive`].
-    #[doc(hidden)]
-    pub fn matmul_tn_naive(&self, other: &Tensor) -> Self {
-        let (m, k) = (self.rows(), self.cols());
-        let n = other.cols();
-        debug_assert_eq!(m, other.rows());
-        let a = self.data();
-        let b = other.data();
-        let mut out = pool::take_zeroed(k * n);
-        let work = |(kk, out_row): (usize, &mut [f32])| {
-            for r in 0..m {
-                let av = a[r * k + kk];
-                let b_row = &b[r * n..(r + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        };
-        if k * n >= par_threshold() {
-            out.par_chunks_mut(n).enumerate().for_each(work);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(work);
-        }
         Self::from_vec(k, n, out)
     }
 

@@ -233,18 +233,32 @@ impl std::fmt::Debug for MatRef<'_> {
     }
 }
 
-/// Small-product fallback for view GEMM: the same k-outer saxpy order as
-/// [`Tensor::matmul_naive`], generic over strides, so view and owned
-/// results agree bitwise.
-fn matmul_naive_views(a: &MatRef<'_>, b: &MatRef<'_>) -> Tensor {
+/// The one small-product GEMM kernel, behind [`Tensor::matmul`],
+/// `matmul_nt`, `matmul_tn` and [`MatRef::matmul`] below
+/// [`gemm::SMALL_GEMM_MACS`], and the naive baseline of the `kernels`
+/// bench. Each output element accumulates `a[r, kk] · b[kk, j]` in `kk`
+/// order from `+0.0`, whatever the strides, so owned and view products
+/// agree bitwise.
+#[doc(hidden)]
+pub fn matmul_naive_views(a: &MatRef<'_>, b: &MatRef<'_>) -> Tensor {
     let (m, k) = (a.rows, a.cols);
     let n = b.cols;
     let mut out = pool::take_zeroed(m * n);
     for (r, out_row) in out.chunks_mut(n).enumerate() {
         for kk in 0..k {
             let av = a.data[a.index(r, kk)];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o += av * b.data[b.index(kk, j)];
+            match b.row(kk) {
+                // Unit column stride: a contiguous saxpy that vectorises.
+                Some(b_row) => {
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o += av * bv;
+                    }
+                }
+                None => {
+                    for (j, o) in out_row.iter_mut().enumerate() {
+                        *o += av * b.data[b.index(kk, j)];
+                    }
+                }
             }
         }
     }

@@ -118,8 +118,10 @@ fn max_delay_bounds_a_lone_request() {
 
 #[test]
 fn garbage_frames_get_clean_errors_and_the_connection_survives() {
-    use enhanced_soups::serve::proto::{read_frame, write_frame};
+    use enhanced_soups::serve::proto::{decode_response, encode_request, MAX_FRAME};
     use enhanced_soups::serve::{Response, Status};
+    use soup_error::wire;
+    use std::io::Write;
 
     let (server, _dataset, _cfg, _fixture) = start_server(ServeConfig::default());
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
@@ -127,20 +129,67 @@ fn garbage_frames_get_clean_errors_and_the_connection_survives() {
     // Unknown opcode, empty payload, and a truncated PREDICT body must all
     // come back as ERROR frames — and the same connection keeps working.
     for garbage in [vec![99u8], vec![], vec![1u8, 10, 0, 0, 0, 7]] {
-        write_frame(&mut stream, &garbage).unwrap();
-        let reply = read_frame(&mut stream).unwrap();
-        assert_eq!(reply[0], Status::Error as u8, "payload {garbage:?}");
+        let mut frame = (garbage.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&garbage);
+        stream.write_all(&frame).unwrap();
+        let reply = wire::read_frame(&mut stream, MAX_FRAME).unwrap().unwrap();
+        assert_eq!(reply.0, Status::Error as u8, "payload {garbage:?}");
     }
-    write_frame(
+    wire::send(
         &mut stream,
-        &enhanced_soups::serve::proto::encode_request(&enhanced_soups::serve::Request::Ping),
+        &encode_request(&enhanced_soups::serve::Request::Ping).unwrap(),
     )
     .unwrap();
-    let reply =
-        enhanced_soups::serve::proto::decode_response(&read_frame(&mut stream).unwrap()).unwrap();
+    let (status, body) = wire::read_frame(&mut stream, MAX_FRAME).unwrap().unwrap();
+    let reply = decode_response(status, body).unwrap();
     assert!(
         matches!(reply, Response::Ok(_)),
         "connection died after garbage"
+    );
+    server.stop();
+}
+
+#[test]
+fn largest_predict_round_trips_and_one_more_id_is_an_error() {
+    use enhanced_soups::serve::proto::{
+        decode_predictions, decode_response, encode_request, MAX_FRAME, MAX_PREDICT_IDS,
+    };
+    use enhanced_soups::serve::{Request, Response};
+    use soup_error::wire;
+
+    let (server, dataset, _cfg, fixture) = start_server(ServeConfig::default());
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    // A server that dies mid-reply fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut call = |req: &Request| {
+        wire::send(&mut stream, &encode_request(req).unwrap()).unwrap();
+        let (status, body) = wire::read_frame(&mut stream, MAX_FRAME)
+            .unwrap()
+            .expect("server closed the connection");
+        decode_response(status, body).unwrap()
+    };
+
+    let n = dataset.num_nodes() as u32;
+    let ids: Vec<u32> = (0..MAX_PREDICT_IDS as u32).map(|i| i % n).collect();
+    let Response::Ok(body) = call(&Request::Predict(ids.clone())) else {
+        panic!("the largest legal PREDICT was refused");
+    };
+    let (_, classes) = decode_predictions(&body).unwrap();
+    assert_eq!(classes.len(), MAX_PREDICT_IDS);
+    for (&id, &class) in ids.iter().zip(&classes).step_by(997) {
+        assert_eq!(class as usize, fixture.reference[id as usize]);
+    }
+
+    let over: Vec<u32> = (0..=MAX_PREDICT_IDS as u32).map(|i| i % n).collect();
+    match call(&Request::Predict(over)) {
+        Response::Error(msg) => assert!(msg.contains("exceeds the limit"), "{msg}"),
+        other => panic!("expected ERROR for one id too many, got {other:?}"),
+    }
+    assert!(
+        matches!(call(&Request::Ping), Response::Ok(_)),
+        "connection died after the over-limit PREDICT"
     );
     server.stop();
 }
