@@ -25,7 +25,8 @@ pub struct GisSouping {
     /// (`linspace(0, 1, granularity)`, endpoints included).
     pub granularity: usize,
     /// Evaluate the α-grid candidates of each ingredient concurrently
-    /// under rayon. The accept decision reduces over the grid in
+    /// across the rayon thread budget (each candidate's kernels then run
+    /// on one thread). The accept decision reduces over the grid in
     /// deterministic order, so the selected (α, accuracy) is identical to
     /// the sequential search.
     pub parallel: bool,

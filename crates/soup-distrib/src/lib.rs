@@ -7,10 +7,11 @@
 //! independently — no gradient synchronisation, no message passing, which
 //! is what makes the process embarrassingly parallel.
 //!
-//! The paper's workers are 8 A100 GPUs; here they are OS threads whose
-//! kernels are internally rayon-parallel. Determinism is preserved because
-//! each ingredient's training randomness is keyed by its ordinal, not by
-//! the worker that happens to claim it.
+//! The paper's workers are 8 A100 GPUs; here they are OS threads, and each
+//! worker's kernels fork across an equal share of the caller's rayon thread
+//! budget. Determinism is preserved because each ingredient's training
+//! randomness is keyed by its ordinal, not by the worker that happens to
+//! claim it, and the kernels give the same bits at any thread count.
 //!
 //! [`schedule`] provides the analytic makespan model of Eq. (1)/(2) plus a
 //! greedy list-scheduling simulator for the load-imbalance discussion, and

@@ -240,6 +240,9 @@ fn spawn_train_kill_watcher(plan: &ShardPlan, shard: usize, epoch: u32) {
 /// after a respawn — in which case the worker resumes from its journal
 /// regardless of the plan's resume bit, which is what makes a recovered
 /// run bit-identical to an uninterrupted one.
+///
+/// The K workers of a run share the machine, so each forks its kernels
+/// across `max(1, cores / K)` threads.
 pub fn run_shard_worker(plan_path: &Path, shard: usize, epoch: u32) -> Result<ShardResult> {
     let start = Instant::now();
     let plan = ShardPlan::load(plan_path)?;
@@ -249,6 +252,20 @@ pub fn run_shard_worker(plan_path: &Path, shard: usize, epoch: u32) -> Result<Sh
             plan.k
         )));
     }
+    rayon::ThreadPoolBuilder::new()
+        .num_threads((soup_tensor::parallel::machine_threads() / plan.k).max(1))
+        .build()
+        .expect("building the shard worker's kernel pool")
+        .install(|| run_loaded_shard(plan, shard, epoch, start))
+}
+
+/// [`run_shard_worker`] once the plan is loaded and the shard checked.
+fn run_loaded_shard(
+    plan: ShardPlan,
+    shard: usize,
+    epoch: u32,
+    start: Instant,
+) -> Result<ShardResult> {
     chaos_kill_point(&plan, shard, ChaosPhase::Spawn, epoch);
     let out_dir = plan.out_dir_path();
     let shard_dir = plan.shard_dir(shard);

@@ -158,8 +158,10 @@ pub struct TrainOpts {
     pub workers: usize,
     /// Root seed; ingredient `i` trains with `derive(i + 1)` of it.
     pub seed: u64,
-    /// Give each worker a private single-threaded rayon pool, modelling
-    /// one-GPU-per-worker (see crate docs).
+    /// Confine each worker's kernels to one thread, modelling
+    /// one-GPU-per-worker. Otherwise each of the `W` workers forks its
+    /// kernels across `max(1, B / W)` threads, `B` being the caller's rayon
+    /// budget.
     pub exclusive_devices: bool,
     /// Re-tries allowed per ingredient after a failed attempt (0 = fail
     /// permanently on the first error).
@@ -244,6 +246,8 @@ pub struct WorkerReport {
     pub worker_id: usize,
     pub ingredients_trained: Vec<usize>,
     pub busy_time: Duration,
+    /// Threads this worker's kernels could fork across.
+    pub kernel_threads: usize,
 }
 
 /// An ingredient that permanently failed (retry budget exhausted).
@@ -284,6 +288,18 @@ impl TrainRun {
 // ---------------------------------------------------------------------------
 // Training
 // ---------------------------------------------------------------------------
+
+/// Kernel threads each Phase-1 worker may fork across when the caller's
+/// rayon budget is `budget`: an equal share, `max(1, budget / W)`, so the
+/// `W` workers together never oversubscribe the caller's threads; 1 under
+/// [`TrainOpts::exclusive_devices`].
+fn worker_kernel_threads(opts: &TrainOpts, budget: usize) -> usize {
+    if opts.exclusive_devices {
+        1
+    } else {
+        (budget / opts.workers).max(1)
+    }
+}
 
 /// Train `n` ingredients on a fault-tolerant worker pool with zero
 /// inter-worker communication.
@@ -384,6 +400,7 @@ pub fn train_ingredients_opts(
         }
     }
 
+    let kernel_threads = worker_kernel_threads(opts, rayon::current_num_threads());
     std::thread::scope(|scope| {
         // Straggler monitor: periodically re-queue attempts running past
         // the deadline so idle workers can race them.
@@ -410,14 +427,11 @@ pub fn train_ingredients_opts(
             let store = &store;
             let journal_lock = &journal_lock;
             scope.spawn(move || {
-                // Exclusive-device mode: a private 1-thread pool confines
-                // this worker's kernel parallelism to itself.
-                let device_pool = opts.exclusive_devices.then(|| {
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(1)
-                        .build()
-                        .expect("building worker device pool")
-                });
+                // This worker's share of the caller's thread budget.
+                let kernel_pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(kernel_threads)
+                    .build()
+                    .expect("building a worker kernel pool");
                 let _worker_span = soup_obs::span!("worker");
                 let mut trained = Vec::new();
                 let busy_start = Instant::now();
@@ -467,12 +481,8 @@ pub fn train_ingredients_opts(
                             Some(FaultKind::Delay) => std::thread::sleep(Duration::from_millis(25)),
                             _ => {}
                         }
-                        let mut tm = match &device_pool {
-                            Some(pool) => {
-                                pool.install(|| train_single(dataset, cfg, tc, init, train_seed))
-                            }
-                            None => train_single(dataset, cfg, tc, init, train_seed),
-                        };
+                        let mut tm = kernel_pool
+                            .install(|| train_single(dataset, cfg, tc, init, train_seed));
                         if let Some(FaultKind::Corrupt) = fault {
                             tm.params.layers[0].tensors[0].make_mut()[0] = f32::NAN;
                         }
@@ -596,6 +606,7 @@ pub fn train_ingredients_opts(
                     worker_id,
                     ingredients_trained: trained,
                     busy_time,
+                    kernel_threads: kernel_pool.install(rayon::current_num_threads),
                 });
             });
         }
@@ -705,6 +716,42 @@ mod tests {
         }
         assert!(run.failed.is_empty());
         assert!(run.resumed.is_empty());
+    }
+
+    #[test]
+    fn workers_split_the_callers_thread_budget() {
+        let (d, cfg, _) = setup();
+        let tc = TrainConfig {
+            epochs: 1,
+            ..TrainConfig::quick()
+        };
+        for budget in [1, 2, 4, 5] {
+            for workers in [1, 2, 3] {
+                for exclusive in [false, true] {
+                    let opts = TrainOpts::default()
+                        .with_workers(workers)
+                        .with_exclusive_devices(exclusive);
+                    let run = rayon::ThreadPoolBuilder::new()
+                        .num_threads(budget)
+                        .build()
+                        .unwrap()
+                        .install(|| train_ingredients_opts(&d, &cfg, &tc, workers, &opts))
+                        .unwrap();
+                    let want = if exclusive {
+                        1
+                    } else {
+                        (budget / workers).max(1)
+                    };
+                    assert_eq!(run.reports.len(), workers);
+                    for r in &run.reports {
+                        assert_eq!(
+                            r.kernel_threads, want,
+                            "budget {budget}, {workers} workers, exclusive {exclusive}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -197,19 +197,22 @@ impl Histogram {
     /// Approximate quantile (`q` in `[0, 1]`); exact for values below 8,
     /// within one sub-bucket (≤ ~12.5% relative error) above.
     pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
+        self.copy().quantile(q)
+    }
+
+    /// One read of every field. Concurrent `record`s may land between the
+    /// loads, so a digest is derived from this copy alone: reading an
+    /// atomic twice (say `min` for the summary and again for a quantile's
+    /// clamp) can see two different instants.
+    fn copy(&self) -> HistogramCopy {
+        let buckets: Vec<u64> = self.buckets.iter().map(|b| b.load(Relaxed)).collect();
+        HistogramCopy {
+            count: buckets.iter().sum(),
+            sum: self.sum.load(Relaxed),
+            min: self.min(),
+            max: self.max(),
+            buckets,
         }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Relaxed);
-            if seen >= rank {
-                return bucket_mid(i).clamp(self.min(), self.max());
-            }
-        }
-        self.max()
     }
 
     pub fn reset(&self) {
@@ -222,17 +225,67 @@ impl Histogram {
         self.max.store(0, Relaxed);
     }
 
+    /// A digest of one copy of the fields, internally consistent under
+    /// concurrent recording: `min <= p50 <= p95 <= p99 <= max`, and `mean`
+    /// within `[min, max]` once a sample is visible.
     pub fn summary(&self) -> HistogramSummary {
+        let c = self.copy();
+        let (lo, hi) = c.range();
         HistogramSummary {
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
+            count: c.count,
+            sum: if c.count == 0 { 0 } else { c.sum },
+            min: lo,
+            max: hi,
+            // `sum` is loaded apart from the buckets, so a racing record
+            // can be in one and not the other; the mean of samples in
+            // `[lo, hi]` lies in `[lo, hi]`.
+            mean: if c.count == 0 {
+                0.0
+            } else {
+                (c.sum as f64 / c.count as f64).clamp(lo as f64, hi as f64)
+            },
+            p50: c.quantile(0.50),
+            p95: c.quantile(0.95),
+            p99: c.quantile(0.99),
         }
+    }
+}
+
+/// The loaded fields of a [`Histogram`]; `count` is the bucket total, so
+/// quantile ranks and buckets agree.
+struct HistogramCopy {
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl HistogramCopy {
+    /// `(min, max)`: `(0, 0)` while no bucket holds a sample, and ordered
+    /// even when a racing record's `max` store is not yet visible next to
+    /// its `min` store.
+    fn range(&self) -> (u64, u64) {
+        if self.count == 0 {
+            return (0, 0);
+        }
+        (self.min, self.max.max(self.min))
+    }
+
+    fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let (lo, hi) = self.range();
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (i, &bucket) in self.buckets.iter().enumerate() {
+            seen += bucket;
+            if seen >= rank {
+                return bucket_mid(i).clamp(lo, hi);
+            }
+        }
+        hi
     }
 }
 

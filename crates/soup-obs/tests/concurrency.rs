@@ -198,3 +198,44 @@ fn registry_lookup_races_return_the_same_instrument() {
         THREADS as u64
     );
 }
+
+#[test]
+fn histogram_summary_stays_ordered_while_the_extremes_keep_moving() {
+    // Writers push the minimum down and the maximum up on every record, so
+    // a summary that reads `min`/`max` more than once, or apart from the
+    // buckets its quantiles come from, sees them move between reads.
+    let hist = Arc::new(soup_obs::registry::Histogram::new());
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (hist, stop) = (Arc::clone(&hist), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let step = i * THREADS as u64 + t as u64;
+                    hist.record(1_000_000_000u64.saturating_sub(step));
+                    hist.record(1_000_000_000 + step);
+                    i += 1;
+                }
+            })
+        })
+        .collect();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
+    let mut checked = 0u64;
+    while std::time::Instant::now() < deadline {
+        let h = hist.summary();
+        assert!(
+            h.min <= h.p50 && h.p50 <= h.p95 && h.p95 <= h.p99 && h.p99 <= h.max,
+            "unordered digest {h:?}"
+        );
+        if h.count > 0 {
+            assert!(h.mean >= h.min as f64 && h.mean <= h.max as f64, "{h:?}");
+        }
+        checked += 1;
+    }
+    stop.store(true, Ordering::Relaxed);
+    for w in writers {
+        w.join().unwrap();
+    }
+    assert!(checked > 0);
+}

@@ -12,13 +12,13 @@
 //!   microkernel-ready panels ([`KC`] elements deep) held in pooled
 //!   workspaces, so the innermost loops read contiguous, transpose-free
 //!   memory regardless of the operand's strides;
-//! - **MC row-blocking** with rayon parallelism over row blocks ([`MC`]
-//!   rows each) rather than single rows: the packed B slab is shared
-//!   read-only across all row blocks of a KC slab, which is where packing
-//!   pays for itself (each B panel is reused `m / MC` times). B-panel
-//!   packing itself also goes parallel on large slabs
-//!   ([`gemm_views`]), so the pack phase no longer serialises the rayon
-//!   workers that are about to consume the slab.
+//! - **MC row-blocking** with one fork per call: the row blocks ([`MC`]
+//!   rows each) are dealt out in one contiguous run per thread of the
+//!   rayon budget, and each run walks the KC slabs itself, sharing its
+//!   packed B slab read-only across its row blocks — which is where
+//!   packing pays for itself (each B panel is reused once per row block
+//!   of the run). Each output row is written by one thread in serial slab
+//!   order, so the product is bit-identical for any thread count.
 //!
 //! Operands arrive as borrowed strided views ([`MatRef`]): the packing
 //! gathers read straight through `(row_stride, col_stride)`, so logical
@@ -103,61 +103,74 @@ pub fn gemm_views(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
     let n_panels = n.div_ceil(NR);
     let row_blocks = m.div_ceil(MC);
     let slabs = k.div_ceil(KC);
-    soup_obs::counter!("tensor.matmul.packed_panels").add((n_panels * slabs) as u64);
+    // One fork per call (see the module docs): `groups` contiguous runs of
+    // row blocks, each walking every KC slab with its own packed B slab.
+    // Forking inside the slab loop would fork `k / KC` times, and for the
+    // weight-gradient products `k` is the node count.
+    let groups = if m * n >= par_threshold() {
+        rayon::current_num_threads().min(row_blocks)
+    } else {
+        1
+    };
+    let group_blocks = row_blocks.div_ceil(groups);
+    let groups = row_blocks.div_ceil(group_blocks);
+    soup_obs::counter!("tensor.matmul.packed_panels").add((n_panels * slabs * groups) as u64);
     soup_obs::counter!("tensor.matmul.panel_reuse")
-        .add((n_panels * slabs * row_blocks.saturating_sub(1)) as u64);
-    let mut bpack = Workspace::scratch(n_panels * NR * KC.min(k));
-    let parallel = m * n >= par_threshold() && row_blocks > 1;
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        // Pack the B slab panel-parallel when the slab itself is big
-        // enough to amortise the fork: each NR-column panel is a disjoint
-        // chunk of the workspace, so the packed bytes are identical to the
-        // serial gather.
-        let pack_parallel = parallel && n_panels > 1 && kc * n >= par_threshold();
-        if pack_parallel {
-            soup_obs::counter!("tensor.matmul.parallel_packs").inc();
-            bpack
-                .par_chunks_mut(kc * NR)
-                .take(n_panels)
-                .enumerate()
-                .for_each(|(jp, panel)| pack_b_panel(panel, b, jp, pc, kc));
-        } else {
-            bpack
-                .chunks_exact_mut(kc * NR)
-                .take(n_panels)
-                .enumerate()
-                .for_each(|(jp, panel)| pack_b_panel(panel, b, jp, pc, kc));
+        .add((n_panels * slabs * (row_blocks - groups)) as u64);
+    let run = |(g, out_group): (usize, &mut [f32])| {
+        let row0 = g * group_blocks * MC;
+        let mut bpack = Workspace::scratch(n_panels * NR * KC.min(k));
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for (jp, panel) in bpack.chunks_exact_mut(kc * NR).take(n_panels).enumerate() {
+                pack_b_panel(panel, b, jp, pc, kc);
+            }
+            for (blk, out_block) in out_group.chunks_mut(MC * n).enumerate() {
+                row_block(a, &bpack, n, row0 + blk * MC, pc, kc, out_block);
+            }
         }
-        let bpack = &*bpack;
-        let row_block = |(blk, out_block): (usize, &mut [f32])| {
-            let ic = blk * MC;
-            let mc = MC.min(m - ic);
-            let mut apack = Workspace::scratch(mc.div_ceil(MR) * MR * kc);
-            pack_a(&mut apack, a, ic, mc, pc, kc);
-            for jp in 0..n_panels {
-                let jc = jp * NR;
-                let nr = NR.min(n - jc);
-                let bp = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
-                for ip in 0..mc.div_ceil(MR) {
-                    let ir = ip * MR;
-                    let mr = MR.min(mc - ir);
-                    let ap = &apack[ip * kc * MR..(ip + 1) * kc * MR];
-                    let mut acc = [[0.0f32; NR]; MR];
-                    microkernel(ap, bp, &mut acc);
-                    for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                        let orow = &mut out_block[(ir + i) * n + jc..(ir + i) * n + jc + nr];
-                        for (o, &v) in orow.iter_mut().zip(acc_row) {
-                            *o += v;
-                        }
-                    }
+    };
+    if groups > 1 {
+        out.par_chunks_mut(group_blocks * MC * n)
+            .enumerate()
+            .for_each(run);
+    } else {
+        run((0, out));
+    }
+}
+
+/// Multiply one KC slab into one MC row block: pack the block's rows of A
+/// starting at row `ic`, then run the microkernel against every packed B
+/// panel of the slab and add the tiles into `out_block` (the block's rows
+/// of the row-major output).
+fn row_block(
+    a: MatRef<'_>,
+    bpack: &[f32],
+    n: usize,
+    ic: usize,
+    pc: usize,
+    kc: usize,
+    out_block: &mut [f32],
+) {
+    let mc = out_block.len() / n;
+    let mut apack = Workspace::scratch(mc.div_ceil(MR) * MR * kc);
+    pack_a(&mut apack, a, ic, mc, pc, kc);
+    for jp in 0..n.div_ceil(NR) {
+        let jc = jp * NR;
+        let nr = NR.min(n - jc);
+        let bp = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
+        for ip in 0..mc.div_ceil(MR) {
+            let ir = ip * MR;
+            let mr = MR.min(mc - ir);
+            let ap = &apack[ip * kc * MR..(ip + 1) * kc * MR];
+            let mut acc = [[0.0f32; NR]; MR];
+            microkernel(ap, bp, &mut acc);
+            for (i, acc_row) in acc.iter().enumerate().take(mr) {
+                let orow = &mut out_block[(ir + i) * n + jc..(ir + i) * n + jc + nr];
+                for (o, &v) in orow.iter_mut().zip(acc_row) {
+                    *o += v;
                 }
             }
-        };
-        if parallel {
-            out.par_chunks_mut(MC * n).enumerate().for_each(row_block);
-        } else {
-            out.chunks_mut(MC * n).enumerate().for_each(row_block);
         }
     }
 }

@@ -18,8 +18,9 @@
 //!   absorbed into the packing gathers.
 //! - **Define-by-run autograd** ([`tape::Tape`]): each training step records
 //!   operations on a fresh tape and calls [`tape::Tape::backward`]. Kernels
-//!   are parallelised internally with rayon; tape construction itself is
-//!   single-threaded, mirroring one CUDA stream per worker.
+//!   fork internally across the calling thread's rayon budget (same bits at
+//!   any thread count); tape construction itself is single-threaded,
+//!   mirroring one CUDA stream per worker.
 //! - **Graph kernels** used by GCN / GraphSAGE / GAT: CSR sparse-dense
 //!   matmul ([`ops::sparse`]), GAT edge-softmax aggregation
 //!   ([`ops::attention`]).

@@ -18,6 +18,7 @@
 //! pass ever writes one output row from two threads.
 
 use crate::memory::MemGuard;
+use crate::parallel::fork_above_threshold;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
@@ -193,49 +194,51 @@ impl Tape {
                     });
                 }
             }
-            out.par_chunks_mut(heads * dim)
-                .zip(s_views.par_iter_mut())
-                .enumerate()
-                .for_each(|(v, (orow, views))| {
-                    let e0 = inner.in_ptr[v];
-                    let deg = inner.in_ptr[v + 1] - e0;
-                    if deg == 0 {
-                        return;
-                    }
-                    for h in 0..heads {
-                        // Scores.
-                        let mut maxz = f32::NEG_INFINITY;
-                        for k in 0..deg {
-                            let u = inner.in_src[e0 + k] as usize;
-                            let s = als[u * heads + h] + ars[v * heads + h];
-                            views.s[k * heads + h] = s;
-                            let z = if s > 0.0 { s } else { slope * s };
-                            maxz = maxz.max(z);
+            fork_above_threshold(n * heads * dim, || {
+                out.par_chunks_mut(heads * dim)
+                    .zip(s_views.par_iter_mut())
+                    .enumerate()
+                    .for_each(|(v, (orow, views))| {
+                        let e0 = inner.in_ptr[v];
+                        let deg = inner.in_ptr[v + 1] - e0;
+                        if deg == 0 {
+                            return;
                         }
-                        // Softmax over LeakyReLU(scores).
-                        let mut total = 0.0f32;
-                        for k in 0..deg {
-                            let s = views.s[k * heads + h];
-                            let z = if s > 0.0 { s } else { slope * s };
-                            let e = (z - maxz).exp();
-                            views.alpha[k * heads + h] = e;
-                            total += e;
-                        }
-                        let inv = 1.0 / total;
-                        // Weighted aggregation.
-                        let od = &mut orow[h * dim..(h + 1) * dim];
-                        for k in 0..deg {
-                            let a = views.alpha[k * heads + h] * inv;
-                            views.alpha[k * heads + h] = a;
-                            let u = inner.in_src[e0 + k] as usize;
-                            let xrow =
-                                &xs[u * heads * dim + h * dim..u * heads * dim + (h + 1) * dim];
-                            for (o, &xval) in od.iter_mut().zip(xrow) {
-                                *o += a * xval;
+                        for h in 0..heads {
+                            // Scores.
+                            let mut maxz = f32::NEG_INFINITY;
+                            for k in 0..deg {
+                                let u = inner.in_src[e0 + k] as usize;
+                                let s = als[u * heads + h] + ars[v * heads + h];
+                                views.s[k * heads + h] = s;
+                                let z = if s > 0.0 { s } else { slope * s };
+                                maxz = maxz.max(z);
+                            }
+                            // Softmax over LeakyReLU(scores).
+                            let mut total = 0.0f32;
+                            for k in 0..deg {
+                                let s = views.s[k * heads + h];
+                                let z = if s > 0.0 { s } else { slope * s };
+                                let e = (z - maxz).exp();
+                                views.alpha[k * heads + h] = e;
+                                total += e;
+                            }
+                            let inv = 1.0 / total;
+                            // Weighted aggregation.
+                            let od = &mut orow[h * dim..(h + 1) * dim];
+                            for k in 0..deg {
+                                let a = views.alpha[k * heads + h] * inv;
+                                views.alpha[k * heads + h] = a;
+                                let u = inner.in_src[e0 + k] as usize;
+                                let xrow =
+                                    &xs[u * heads * dim + h * dim..u * heads * dim + (h + 1) * dim];
+                                for (o, &xval) in od.iter_mut().zip(xrow) {
+                                    *o += a * xval;
+                                }
                             }
                         }
-                    }
-                });
+                    });
+            });
         }
 
         let s_t = Tensor::from_vec(
@@ -278,67 +281,72 @@ impl Tape {
                         rest = tail;
                         gs_views.push(head);
                     }
-                    grad_ar
-                        .par_chunks_mut(heads)
-                        .zip(gs_views.par_iter_mut())
-                        .enumerate()
-                        .for_each(|(v, (gar_row, gsv))| {
-                            let e0 = inner.in_ptr[v];
-                            let deg = inner.in_ptr[v + 1] - e0;
-                            if deg == 0 {
-                                return;
-                            }
-                            for h in 0..heads {
-                                let gv =
-                                    &gs[v * heads * dim + h * dim..v * heads * dim + (h + 1) * dim];
-                                // grad wrt alpha, then softmax + leakyrelu backward.
-                                let mut dot_sum = 0.0f32;
-                                let mut galpha = crate::pool::take_zeroed(deg);
-                                for k in 0..deg {
-                                    let u = inner.in_src[e0 + k] as usize;
-                                    let xrow = &xs[u * heads * dim + h * dim
-                                        ..u * heads * dim + (h + 1) * dim];
-                                    let ga: f32 = gv.iter().zip(xrow).map(|(&a, &b)| a * b).sum();
-                                    galpha[k] = ga;
-                                    dot_sum += ga * avs[(e0 + k) * heads + h];
+                    fork_above_threshold(n * heads * dim, || {
+                        grad_ar
+                            .par_chunks_mut(heads)
+                            .zip(gs_views.par_iter_mut())
+                            .enumerate()
+                            .for_each(|(v, (gar_row, gsv))| {
+                                let e0 = inner.in_ptr[v];
+                                let deg = inner.in_ptr[v + 1] - e0;
+                                if deg == 0 {
+                                    return;
                                 }
-                                let mut gar_acc = 0.0f32;
-                                for k in 0..deg {
-                                    let a = avs[(e0 + k) * heads + h];
-                                    let gz = a * (galpha[k] - dot_sum);
-                                    let s = ss[(e0 + k) * heads + h];
-                                    let gsc = if s > 0.0 { gz } else { slope * gz };
-                                    gsv[k * heads + h] = gsc;
-                                    gar_acc += gsc;
+                                for h in 0..heads {
+                                    let gv = &gs[v * heads * dim + h * dim
+                                        ..v * heads * dim + (h + 1) * dim];
+                                    // grad wrt alpha, then softmax + leakyrelu backward.
+                                    let mut dot_sum = 0.0f32;
+                                    let mut galpha = crate::pool::take_zeroed(deg);
+                                    for k in 0..deg {
+                                        let u = inner.in_src[e0 + k] as usize;
+                                        let xrow = &xs[u * heads * dim + h * dim
+                                            ..u * heads * dim + (h + 1) * dim];
+                                        let ga: f32 =
+                                            gv.iter().zip(xrow).map(|(&a, &b)| a * b).sum();
+                                        galpha[k] = ga;
+                                        dot_sum += ga * avs[(e0 + k) * heads + h];
+                                    }
+                                    let mut gar_acc = 0.0f32;
+                                    for k in 0..deg {
+                                        let a = avs[(e0 + k) * heads + h];
+                                        let gz = a * (galpha[k] - dot_sum);
+                                        let s = ss[(e0 + k) * heads + h];
+                                        let gsc = if s > 0.0 { gz } else { slope * gz };
+                                        gsv[k * heads + h] = gsc;
+                                        gar_acc += gsc;
+                                    }
+                                    gar_row[h] = gar_acc;
                                 }
-                                gar_row[h] = gar_acc;
-                            }
-                        });
+                            });
+                    });
                 }
 
                 // Pass 2: src-parallel over the transposed index.
                 let mut grad_x = crate::pool::take_zeroed(n * heads * dim);
                 let mut grad_al = crate::pool::take_zeroed(n * heads);
-                grad_x
-                    .par_chunks_mut(heads * dim)
-                    .zip(grad_al.par_chunks_mut(heads))
-                    .enumerate()
-                    .for_each(|(u, (gx_row, gal_row))| {
-                        for p in inner.out_ptr[u]..inner.out_ptr[u + 1] {
-                            let v = inner.out_dst[p] as usize;
-                            let e = inner.out_eid[p] as usize;
-                            for h in 0..heads {
-                                let a = avs[e * heads + h];
-                                let gv =
-                                    &gs[v * heads * dim + h * dim..v * heads * dim + (h + 1) * dim];
-                                let gxd = &mut gx_row[h * dim..(h + 1) * dim];
-                                for (o, &gval) in gxd.iter_mut().zip(gv) {
-                                    *o += a * gval;
+                fork_above_threshold(n * heads * dim, || {
+                    grad_x
+                        .par_chunks_mut(heads * dim)
+                        .zip(grad_al.par_chunks_mut(heads))
+                        .enumerate()
+                        .for_each(|(u, (gx_row, gal_row))| {
+                            for p in inner.out_ptr[u]..inner.out_ptr[u + 1] {
+                                let v = inner.out_dst[p] as usize;
+                                let e = inner.out_eid[p] as usize;
+                                for h in 0..heads {
+                                    let a = avs[e * heads + h];
+                                    let gv = &gs[v * heads * dim + h * dim
+                                        ..v * heads * dim + (h + 1) * dim];
+                                    let gxd = &mut gx_row[h * dim..(h + 1) * dim];
+                                    for (o, &gval) in gxd.iter_mut().zip(gv) {
+                                        *o += a * gval;
+                                    }
+                                    gal_row[h] += grad_s[e * heads + h];
                                 }
-                                gal_row[h] += grad_s[e * heads + h];
                             }
-                        }
-                    });
+                        });
+                });
 
                 vec![
                     Some(Tensor::from_vec(n, heads * dim, grad_x)),

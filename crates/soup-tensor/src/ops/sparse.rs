@@ -19,7 +19,7 @@
 //! output-row reload of the naive saxpy formulation.
 
 use crate::memory::MemGuard;
-use crate::parallel::par_threshold;
+use crate::parallel::{machine_threads, par_threshold};
 use crate::pool;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
@@ -30,7 +30,7 @@ use std::sync::{Arc, OnceLock};
 /// every SpMM dispatch over that matrix (every epoch, every souping
 /// candidate evaluation). Power-law graphs (Reddit, ogbn-products) have hub
 /// vertices whose rows hold orders of magnitude more entries than the
-/// median; chunking rows by *count* would hand one rayon task the hub and
+/// median; chunking rows by *count* would hand one thread the hub and
 /// stall the join, so chunks are cut at nnz quantiles instead, found by
 /// binary search over `indptr`.
 #[derive(Debug)]
@@ -47,9 +47,12 @@ impl ChunkPlan {
     fn build(indptr: &[usize]) -> Self {
         let rows = indptr.len() - 1;
         let nnz = *indptr.last().unwrap();
-        // Over-decompose relative to the worker count so the scheduler can
-        // even out residual imbalance; never more chunks than rows.
-        let target_chunks = (rayon::current_num_threads() * 4).clamp(1, rows.max(1));
+        // Over-decompose relative to the machine's thread count so the
+        // scheduler can even out residual imbalance; never more chunks than
+        // rows. The plan is cached per matrix and shared by every later
+        // caller, so it must not depend on the budget of whichever thread
+        // happens to build it first (a 1-thread trainer worker, say).
+        let target_chunks = (machine_threads() * 4).clamp(1, rows.max(1));
         let mut bounds = Vec::with_capacity(target_chunks + 1);
         bounds.push(0usize);
         for c in 1..target_chunks {
@@ -635,6 +638,22 @@ mod tests {
             assert_eq!(plan.bounds[1], 1, "hub row isolated in its own chunk");
         }
         assert!(plan.imbalance() >= 1.0);
+    }
+
+    #[test]
+    fn chunk_plan_ignores_the_budget_of_the_thread_that_builds_it() {
+        // A plan first built on a 1-thread trainer worker is reused by the
+        // full-budget soup and serve calls that follow, so the budget in
+        // force when it is built must not shape it.
+        let indptr: Vec<usize> = (0..=1000).map(|i| i * 5).collect();
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap()
+            .install(|| ChunkPlan::build(&indptr));
+        let full = ChunkPlan::build(&indptr);
+        assert_eq!(one.bounds, full.bounds);
+        assert_eq!(one.chunks(), (machine_threads() * 4).min(1000));
     }
 
     #[test]

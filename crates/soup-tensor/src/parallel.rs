@@ -1,8 +1,8 @@
-//! Shared kernel-dispatch tunables: the parallelism cutoff and the runtime
-//! SIMD capability probe.
+//! Shared kernel-dispatch tunables: the parallelism cutoff, the machine's
+//! thread count and the runtime SIMD capability probe.
 //!
-//! Every rayon-parallel kernel in this crate asks the same question:
-//! "is there enough work to amortise task spawning?" Historically the
+//! Every kernel that forks across the rayon thread budget asks the same
+//! question: "is there enough work to amortise forking?" Historically the
 //! dense kernels used `16 * 1024` output elements while SpMM hardcoded
 //! `8192`; this module hoists one tunable used by both paths.
 //!
@@ -38,11 +38,19 @@ pub fn cpu_has_avx2_fma() -> bool {
     false
 }
 
+/// The machine's thread count (`available_parallelism`, read once): the
+/// most threads any kernel call can fork across, whatever the calling
+/// thread's rayon budget.
+pub fn machine_threads() -> usize {
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Default minimum work (output elements) before a kernel goes parallel.
 pub const DEFAULT_PAR_THRESHOLD: usize = 16 * 1024;
 
 /// Minimum work (output elements) before a kernel bothers going parallel;
-/// below this, rayon's task overhead outweighs the win. Honors the
+/// below this, the cost of forking outweighs the win. Honors the
 /// `SOUP_PAR_THRESHOLD` environment variable on first call.
 #[inline]
 pub fn par_threshold() -> usize {
@@ -53,6 +61,26 @@ pub fn par_threshold() -> usize {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .unwrap_or(DEFAULT_PAR_THRESHOLD)
     })
+}
+
+/// The rayon thread-budget API, re-exported so crates without their own
+/// rayon dependency can set the budget kernels run under
+/// (`ThreadPoolBuilder::new().num_threads(n).build()?.install(..)`).
+pub use rayon::{current_num_threads, ThreadPoolBuilder};
+
+/// Run `op` under the calling thread's budget when `work` (output
+/// elements) reaches [`par_threshold`], and confined to one thread below
+/// it: the gate for kernels whose parallel loops have no sequential twin.
+pub fn fork_above_threshold<R>(work: usize, op: impl FnOnce() -> R) -> R {
+    if work >= par_threshold() {
+        op()
+    } else {
+        ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a one-thread budget")
+            .install(op)
+    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! ([`Tensor::make_mut`]) so optimizer updates are in-place when the buffer
 //! is uniquely owned (the common case) and copy otherwise.
 //!
-//! Kernels that dominate runtime are parallelised with rayon:
-//! `par_chunks_mut` over the output keeps the parallelism data-race-free by
-//! construction. The GEMM family (`matmul` / `matmul_nt` / `matmul_tn`) is
+//! Elementwise maps fork across the thread budget with rayon's
+//! `par_iter_mut` over the output, which keeps them data-race-free by
+//! construction and bit-identical for any thread count; reductions stay
+//! sequential. The GEMM family (`matmul` / `matmul_nt` / `matmul_tn`) is
 //! a set of thin drivers over the shared cache-blocked kernel in
 //! [`crate::gemm`]; output buffers are recycled through [`crate::pool`].
 
@@ -237,11 +238,9 @@ impl Tensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        if self.len() >= par_threshold() {
-            self.data().par_iter().sum()
-        } else {
-            self.data().iter().sum()
-        }
+        // Sequential on purpose: a parallel sum would reassociate the adds
+        // and change the bits with the thread count.
+        self.data().iter().sum()
     }
 
     /// Mean of all elements (0 for empty tensors).
@@ -255,11 +254,8 @@ impl Tensor {
 
     /// Squared Frobenius norm.
     pub fn norm_sq(&self) -> f32 {
-        if self.len() >= par_threshold() {
-            self.data().par_iter().map(|&x| x * x).sum()
-        } else {
-            self.data().iter().map(|&x| x * x).sum()
-        }
+        // Sequential for the same reason as `sum`.
+        self.data().iter().map(|&x| x * x).sum()
     }
 
     /// Frobenius norm.

@@ -237,3 +237,202 @@ fn spmm_single_row_and_single_col() {
     let degrees = vec![1usize; 16];
     check_spmm(16, 1, &degrees, 8, 10); // N×1: every edge hits column 0
 }
+
+// ---------------------------------------------------------------------------
+// Thread-budget invariance. Every kernel below forks across the rayon
+// budget once its output clears `par_threshold()`; the shapes here all
+// clear it (and span several KC slabs, hub rows, blend chunks and GAT
+// destination pieces), so budget N really splits the work, and the result
+// must be bit-identical to the one-thread run.
+// ---------------------------------------------------------------------------
+
+/// Budgets compared against 1: fixed, so the fork is exercised on any host.
+const BUDGETS: [usize; 2] = [2, 4];
+
+fn at_budget<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    soup_tensor::parallel::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("a thread budget")
+        .install(op)
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Run `kernel` at budget 1 and at every budget in [`BUDGETS`] and demand
+/// the same bits from each.
+fn same_bits_at_every_budget(what: &str, kernel: impl Fn() -> Vec<Vec<u32>>) {
+    let one = at_budget(1, &kernel);
+    for threads in BUDGETS {
+        assert!(
+            one == at_budget(threads, &kernel),
+            "{what}: budget {threads} differs from budget 1"
+        );
+    }
+}
+
+fn check_matmuls_budget_invariant(m: usize, n: usize, k: usize, seed: u64) {
+    assert!(m * n >= soup_tensor::par_threshold(), "shape must fork");
+    let mut rng = SplitMix64::new(seed);
+    let a = Tensor::randn(m, k, 1.0, &mut rng);
+    let b = Tensor::randn(k, n, 1.0, &mut rng);
+    let bt = Tensor::randn(n, k, 1.0, &mut rng);
+    let at = Tensor::randn(k, m, 1.0, &mut rng);
+    same_bits_at_every_budget(&format!("gemm {m}x{n}x{k}"), || {
+        vec![
+            bits(&a.matmul(&b)),
+            bits(&a.matmul_nt(&bt)),
+            bits(&at.matmul_tn(&b)),
+        ]
+    });
+    // The forked product is also the right product.
+    at_budget(BUDGETS[1], || check_matmuls(m, n, k, seed));
+}
+
+fn check_spmm_budget_invariant(rows: usize, hubs: usize, c: usize, seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let cols = rows;
+    let mut indptr = vec![0usize];
+    let mut indices = Vec::new();
+    let mut values = Vec::new();
+    for r in 0..rows {
+        // The first `hubs` rows hold most of the nonzeros.
+        let deg = if r < hubs { cols } else { rng.next_below(4) };
+        for _ in 0..deg {
+            indices.push(rng.next_below(cols) as u32);
+            values.push(rng.normal());
+        }
+        indptr.push(indices.len());
+    }
+    assert!((indices.len() + rows) * c >= soup_tensor::par_threshold());
+    let x = Tensor::randn(cols, c, 1.0, &mut rng);
+    let want = spmm_ref(&indptr, &indices, &values, &x);
+    let a = SparseMat::new(rows, cols, indptr, indices, values, false);
+    same_bits_at_every_budget(&format!("spmm {rows} rows, {hubs} hubs"), || {
+        vec![bits(&a.matvec_dense(&x))]
+    });
+    assert_close(
+        at_budget(BUDGETS[1], || a.matvec_dense(&x)).data(),
+        &want,
+        "forked spmm",
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// GEMM drivers with several row blocks and three to four KC slabs.
+    #[test]
+    fn matmuls_are_bit_identical_at_any_budget(
+        m in 130usize..200,
+        n in 127usize..140,
+        k in (3 * KC)..(4 * KC),
+        seed in 0u64..1_000_000,
+    ) {
+        check_matmuls_budget_invariant(m, n, k, seed);
+    }
+
+    /// SpMM over a chunk plan that has to isolate hub rows.
+    #[test]
+    fn spmm_is_bit_identical_at_any_budget(
+        rows in 300usize..420,
+        hubs in 1usize..4,
+        c in 40usize..70,
+        seed in 0u64..1_000_000,
+    ) {
+        check_spmm_budget_invariant(rows, hubs, c, seed);
+    }
+
+    /// Fused blends spanning several 16K-element chunks, and the
+    /// elementwise maps.
+    #[test]
+    fn blend_and_elementwise_maps_are_bit_identical_at_any_budget(
+        rows in 180usize..260,
+        cols in 180usize..260,
+        r in 2usize..=5,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let parts: Vec<Tensor> = (0..r).map(|_| Tensor::randn(rows, cols, 1.0, &mut rng)).collect();
+        let refs: Vec<&Tensor> = parts.iter().collect();
+        let coeffs: Vec<f32> = (0..r).map(|_| rng.normal()).collect();
+        same_bits_at_every_budget("blend/map/zip", || {
+            let mut dst = Tensor::zeros(rows, cols);
+            soup_tensor::ops::soup::blend_into(&mut dst, &coeffs, &refs);
+            vec![
+                bits(&dst),
+                bits(&parts[0].map(|x| x.tanh())),
+                bits(&parts[0].zip(&parts[1], |a, b| a * b - a)),
+            ]
+        });
+        at_budget(BUDGETS[1], || check_blend(rows, cols, r, seed));
+    }
+
+    /// int8 and bf16 inference GEMMs over many 4-row tiles.
+    #[test]
+    fn qmatmul_is_bit_identical_at_any_budget(
+        m in 256usize..400,
+        k in 20usize..90,
+        n in 64usize..96,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let a = Tensor::randn(m, k, 1.0, &mut rng);
+        let w = Tensor::randn(k, n, 0.5, &mut rng);
+        let int8 = soup_tensor::QuantMat::quantize_int8(&w);
+        let bf16 = soup_tensor::QuantMat::quantize_bf16(&w);
+        same_bits_at_every_budget("qmatmul", || {
+            vec![
+                bits(&soup_tensor::quant::qmatmul(&a, &int8)),
+                bits(&soup_tensor::quant::qmatmul(&a, &bf16)),
+            ]
+        });
+    }
+
+    /// GAT aggregation forward and both backward passes, with a hub
+    /// destination.
+    #[test]
+    fn gat_attention_is_bit_identical_at_any_budget(
+        n in 1030usize..1200,
+        heads in 2usize..=4,
+        seed in 0u64..1_000_000,
+    ) {
+        use soup_tensor::ops::attention::EdgeIndex;
+        let dim = 8;
+        let mut rng = SplitMix64::new(seed);
+        let mut edges: Vec<(u32, u32)> = (0..n as u32).map(|v| (v, v)).collect();
+        for _ in 0..4 * n {
+            edges.push((rng.next_below(n) as u32, rng.next_below(n) as u32));
+        }
+        for u in 0..n as u32 {
+            edges.push((u, 0)); // node 0 hears from everyone
+        }
+        let idx = EdgeIndex::from_edges(n, &edges);
+        assert!(n * heads * dim >= soup_tensor::par_threshold());
+        let x = Tensor::randn(n, heads * dim, 1.0, &mut rng);
+        let al = Tensor::randn(n, heads, 1.0, &mut rng);
+        let ar = Tensor::randn(n, heads, 1.0, &mut rng);
+        let probe = Tensor::randn(n, heads * dim, 1.0, &mut rng);
+        same_bits_at_every_budget("gat", || {
+            let tape = soup_tensor::Tape::new();
+            let (xv, alv, arv) = (tape.param(x.clone()), tape.param(al.clone()), tape.param(ar.clone()));
+            let y = tape.gat_aggregate(&idx, xv, alv, arv, heads, 0.2);
+            let loss = tape.sum(tape.mul(y, tape.constant(probe.clone())));
+            let grads = tape.backward(loss);
+            vec![
+                bits(&tape.value(y)),
+                bits(grads.get(xv).unwrap()),
+                bits(grads.get(alv).unwrap()),
+                bits(grads.get(arv).unwrap()),
+            ]
+        });
+    }
+}
+
+#[test]
+fn gemm_with_many_slabs_and_a_ragged_last_row_block_is_budget_invariant() {
+    // k spans five KC slabs plus a remainder; m leaves a short last block.
+    check_matmuls_budget_invariant(2 * 64 + 13, 128 + 5, 5 * KC + 19, 77);
+}
